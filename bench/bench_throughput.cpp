@@ -2,20 +2,18 @@
 //
 // Measures aggregate tenant throughput (full malloc -> copyHD -> launch ->
 // copyDH -> free cycles per modeled second) at 1/4/8/16 concurrent tenants
-// under the two dispatch disciplines:
+// through the sharded dispatcher (per-context locks, sharded tables, async
+// write-back).
 //
-//   global_lock  -- the pre-sharding baseline: one daemon-wide lock held
-//                   across every call, synchronous eviction write-back.
-//   sharded      -- per-context locks, sharded tables, async write-back.
-//
-// Times are modeled (virtual-clock) seconds: the speedup comes from
+// Times are modeled (virtual-clock) seconds: the scaling comes from
 // overlapping the modeled device/engine/channel delays across tenants, not
 // from host-side lock spinning. Kernel bodies are skipped (correctness is
 // covered by the test suite).
 //
-// Emits machine-readable JSON (default BENCH_throughput.json) with both
-// modes' ops/sec per tenant count plus the 8-tenant speedup -- the number
-// the CI bench smoke job tracks.
+// Emits machine-readable JSON (default BENCH_throughput.json) with ops/sec
+// per tenant count plus scaling_8_over_1, the 8-tenant rate over the
+// 1-tenant rate -- the number the CI bench smoke job tracks. A dispatcher
+// that serialized tenants would read 1.0.
 //
 // --trace-overhead switches to the tracing-cost smoke mode the CI trace
 // job runs: the same 8-tenant sharded workload back to back with the obs
@@ -48,7 +46,7 @@ using namespace gpuvm;
 
 constexpr u64 kDevBytes = 8ull << 20;  // 8 MiB per GPU: no swap pressure
 constexpr int kGpus = 4;
-constexpr int kVgpusPerDevice = 4;  // 16 vGPUs: global_lock safe up to 16 tenants
+constexpr int kVgpusPerDevice = 4;
 constexpr u64 kFloats = 16 * 1024;  // 64 KiB working buffer per cycle
 
 sim::SimParams bench_params() {
@@ -83,8 +81,8 @@ struct RunResult {
   u64 trace_events = 0;
 };
 
-RunResult run_mode(core::DispatchMode mode, bool async_writeback, int tenants, int iters,
-                   bool traced = false, std::string* trace_json = nullptr) {
+RunResult run_tenants(int tenants, int iters, bool traced = false,
+                      std::string* trace_json = nullptr) {
   vt::Domain dom;
   vt::AttachGuard guard(dom);
   // The recorder shares the run's domain so event stamps use its clock;
@@ -101,8 +99,6 @@ RunResult run_mode(core::DispatchMode mode, bool async_writeback, int tenants, i
   register_kernel(machine);
   cudart::CudaRt rt(machine, cudart::CudaRtConfig{4 * 1024, 64});
   core::RuntimeConfig config;
-  config.dispatch_mode = mode;
-  config.async_writeback = async_writeback;
   config.scheduler.vgpus_per_device = kVgpusPerDevice;
   core::Runtime runtime(rt, config);
 
@@ -155,8 +151,7 @@ RunResult run_mode(core::DispatchMode mode, bool async_writeback, int tenants, i
 double run_walltimed(int tenants, int iters, bool traced, std::string* trace_json,
                      u64* trace_events) {
   const auto start = std::chrono::steady_clock::now();
-  const RunResult r = run_mode(core::DispatchMode::Sharded, /*async_writeback=*/true, tenants,
-                               iters, traced, trace_json);
+  const RunResult r = run_tenants(tenants, iters, traced, trace_json);
   const auto stop = std::chrono::steady_clock::now();
   if (trace_events != nullptr) *trace_events = r.trace_events;
   return std::chrono::duration<double>(stop - start).count();
@@ -263,54 +258,39 @@ int main(int argc, char** argv) {
     return run_trace_overhead(out_path, trace_out, /*tenants=*/8, iters, reps);
   }
 
-  struct Mode {
-    const char* name;
-    core::DispatchMode mode;
-    bool async_writeback;
-  };
-  const Mode modes[] = {
-      {"global_lock", core::DispatchMode::GlobalLock, false},
-      {"sharded", core::DispatchMode::Sharded, true},
-  };
-
-  std::vector<std::vector<RunResult>> results(2);
-  for (size_t m = 0; m < 2; ++m) {
-    for (int tenants : counts) {
-      const RunResult r = run_mode(modes[m].mode, modes[m].async_writeback, tenants, iters);
-      results[m].push_back(r);
-      std::printf("%-12s tenants=%-3d ops/sec=%10.1f modeled_s=%.4f contended=%llu\n",
-                  modes[m].name, tenants, r.ops_per_sec, r.elapsed_seconds,
-                  static_cast<unsigned long long>(r.lock_contended));
-    }
+  std::vector<RunResult> results;
+  double ops_1 = 0.0;
+  double ops_8 = 0.0;
+  for (int tenants : counts) {
+    const RunResult r = run_tenants(tenants, iters);
+    results.push_back(r);
+    if (tenants == 1) ops_1 = r.ops_per_sec;
+    if (tenants == 8) ops_8 = r.ops_per_sec;
+    std::printf("sharded tenants=%-3d ops/sec=%10.1f modeled_s=%.4f contended=%llu\n", tenants,
+                r.ops_per_sec, r.elapsed_seconds,
+                static_cast<unsigned long long>(r.lock_contended));
   }
-
-  double speedup8 = 0.0;
-  for (size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i] == 8) speedup8 = results[1][i].ops_per_sec / results[0][i].ops_per_sec;
-  }
+  // 0 when the sweep lacks the 1- or 8-tenant point.
+  const double scaling = ops_1 > 0.0 ? ops_8 / ops_1 : 0.0;
 
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) die("cannot open --out file");
   std::fprintf(f, "{\n  \"bench\": \"throughput\",\n  \"iters_per_tenant\": %d,\n", iters);
   std::fprintf(f, "  \"gpus\": %d,\n  \"vgpus_per_device\": %d,\n", kGpus, kVgpusPerDevice);
-  std::fprintf(f, "  \"modes\": {\n");
-  for (size_t m = 0; m < 2; ++m) {
-    std::fprintf(f, "    \"%s\": [\n", modes[m].name);
-    for (size_t i = 0; i < counts.size(); ++i) {
-      const RunResult& r = results[m][i];
-      std::fprintf(f,
-                   "      {\"tenants\": %d, \"ops_per_sec\": %.1f, "
-                   "\"modeled_seconds\": %.6f, \"dispatch_lock_contended\": %llu, "
-                   "\"async_writebacks\": %llu}%s\n",
-                   counts[i], r.ops_per_sec, r.elapsed_seconds,
-                   static_cast<unsigned long long>(r.lock_contended),
-                   static_cast<unsigned long long>(r.async_writebacks),
-                   i + 1 < counts.size() ? "," : "");
-    }
-    std::fprintf(f, "    ]%s\n", m == 0 ? "," : "");
+  std::fprintf(f, "  \"sharded\": [\n");
+  for (size_t i = 0; i < counts.size(); ++i) {
+    const RunResult& r = results[i];
+    std::fprintf(f,
+                 "    {\"tenants\": %d, \"ops_per_sec\": %.1f, "
+                 "\"modeled_seconds\": %.6f, \"dispatch_lock_contended\": %llu, "
+                 "\"async_writebacks\": %llu}%s\n",
+                 counts[i], r.ops_per_sec, r.elapsed_seconds,
+                 static_cast<unsigned long long>(r.lock_contended),
+                 static_cast<unsigned long long>(r.async_writebacks),
+                 i + 1 < counts.size() ? "," : "");
   }
-  std::fprintf(f, "  },\n  \"speedup_8_tenants\": %.3f\n}\n", speedup8);
+  std::fprintf(f, "  ],\n  \"scaling_8_over_1\": %.3f\n}\n", scaling);
   std::fclose(f);
-  std::printf("speedup_8_tenants=%.3f -> %s\n", speedup8, out_path.c_str());
+  std::printf("scaling_8_over_1=%.3f -> %s\n", scaling, out_path.c_str());
   return 0;
 }

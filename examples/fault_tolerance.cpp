@@ -24,7 +24,7 @@ int main() {
   sim::SimParams params{1};
   sim::SimMachine machine(dom, params);
   const GpuId gpu_a = machine.add_gpu(sim::test_gpu(1 << 20));
-  const GpuId gpu_b = machine.add_gpu(sim::test_gpu(1 << 20));
+  machine.add_gpu(sim::test_gpu(1 << 20));  // the survivor the job replays onto
 
   sim::KernelDef step;
   step.name = "simulate_step";

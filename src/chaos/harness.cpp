@@ -8,7 +8,6 @@
 #include "chaos/invariants.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/migration.hpp"
-#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "core/frontend.hpp"
 #include "obs/flight_recorder.hpp"
@@ -169,16 +168,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   ScenarioResult result;
   result.outcomes.resize(static_cast<size_t>(config.tenants));
 
-  vt::Domain::Engine clock_engine = vt::Domain::default_engine();
-  if (!config.vt_engine.empty()) {
-    if (const auto parsed = vt::Domain::parse_engine(config.vt_engine)) {
-      clock_engine = *parsed;
-    } else {
-      log::warn("chaos: unknown vt_engine '%s'; using %s", config.vt_engine.c_str(),
-                vt::Domain::engine_name(clock_engine));
-    }
-  }
-  vt::Domain dom(vt::Mode::Virtual, 1e-3, clock_engine);
+  vt::Domain dom;
   std::unique_ptr<obs::TraceRecorder> recorder;
   std::unique_ptr<obs::ScopedTracer> tracing;
   if (!config.trace_out.empty()) {

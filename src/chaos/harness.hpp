@@ -55,10 +55,6 @@ struct ScenarioConfig {
   /// the entry-granular engine -- only modeled costs shift; determinism
   /// must hold either way.
   bool paging = false;
-  /// Virtual-clock sleeper-queue engine ("calendar" fast path or "legacy"
-  /// multimap baseline). The determinism soak runs every seed under both
-  /// and requires bit-identical summaries. Empty: Domain::default_engine().
-  std::string vt_engine;
   FaultPlan plan;
 };
 

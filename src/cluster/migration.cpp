@@ -63,8 +63,7 @@ StatusOr<core::MigrationReport> MigrationCoordinator::migrate(NodeId from, NodeI
   if (!victim.has_value()) return Status::ErrorNotSupported;
   attempted_.fetch_add(1, std::memory_order_relaxed);
   auto report = source->runtime().migrate_context(
-      *victim, [target, link = link_] { return target->runtime().connect_with(link); },
-      policy_.options);
+      *victim, [target, link = link_] { return target->runtime().connect_with(link); });
   if (report) {
     completed_.fetch_add(1, std::memory_order_relaxed);
     log::info("cluster: migrated ctx %llu from %s to %s",

@@ -5,9 +5,11 @@
 // coordinator picks a victim context on the shedding node and drives
 // Runtime::migrate_context at it -- pre-copy rounds of the incremental-swap
 // dirty deltas over a modeled cluster link, then a quiesced stop-and-copy
-// (see docs/ARCHITECTURE.md "Live migration"). Unlike connection offload
-// (which routes *new* arrivals), migration moves a job that is already
-// running, state and all.
+// (see docs/ARCHITECTURE.md "Live migration"). The per-attempt limits --
+// pre-copy round cap, convergence threshold, quiesce attempts -- are
+// constants of migrate_context; the policy here only decides when and
+// whom to move. Unlike connection offload (which routes *new* arrivals),
+// migration moves a job that is already running, state and all.
 #pragma once
 
 #include <atomic>
@@ -21,8 +23,6 @@
 namespace gpuvm::cluster {
 
 struct MigrationPolicy {
-  /// Per-attempt knobs forwarded to Runtime::migrate_context.
-  core::MigrationOptions options;
   /// Watcher poll period (start()). See common/tuning.hpp for the
   /// tie-avoidance rationale behind the default.
   vt::Duration poll_interval = tuning::kMigrationWatchInterval;

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <sstream>
 
-#include "common/calendar_queue.hpp"
 #include "common/log.hpp"
 
 namespace gpuvm::vt {
@@ -16,122 +14,10 @@ thread_local Domain* tl_current_domain = nullptr;
 
 Domain* Domain::current() { return tl_current_domain; }
 
-// ---- Sleeper queues ---------------------------------------------------------
-//
-// Both implementations honor the same contract: pop_due removes every entry
-// with deadline <= t and appends them sorted by (deadline, insertion order).
-// That makes the engines interchangeable without reordering same-instant
-// wakeups -- the chaos determinism suite replays both and diffs the output.
-
-class Domain::SleeperQueue {
- public:
-  virtual ~SleeperQueue() = default;
-  virtual void insert(Sleeper* s) = 0;  ///< assigns s->seq
-  virtual bool erase(Sleeper* s) = 0;   ///< cancellation path only
-  virtual std::optional<TimePoint> earliest() const = 0;
-  virtual void pop_due(TimePoint t, std::vector<Sleeper*>& out) = 0;
-  virtual size_t size() const = 0;
-};
-
-/// Engine::Legacy -- the original std::multimap, O(log n) per op. Kept as the
-/// baseline the calendar fast path is diffed against.
-class MultimapSleeperQueueImpl final : public Domain::SleeperQueue {
- public:
-  void insert(Domain::Sleeper* s) override {
-    s->seq = next_seq_++;
-    map_.emplace(s->deadline, s);
-  }
-
-  bool erase(Domain::Sleeper* s) override {
-    auto [lo, hi] = map_.equal_range(s->deadline);
-    for (auto it = lo; it != hi; ++it) {
-      if (it->second == s) {
-        map_.erase(it);
-        return true;
-      }
-    }
-    return false;
-  }
-
-  std::optional<TimePoint> earliest() const override {
-    if (map_.empty()) return std::nullopt;
-    return map_.begin()->first;
-  }
-
-  void pop_due(TimePoint t, std::vector<Domain::Sleeper*>& out) override {
-    // Equal keys come out in insertion order (multimap guarantee).
-    while (!map_.empty() && map_.begin()->first <= t) {
-      out.push_back(map_.begin()->second);
-      map_.erase(map_.begin());
-    }
-  }
-
-  size_t size() const override { return map_.size(); }
-
- private:
-  std::multimap<TimePoint, Domain::Sleeper*> map_;
-  u64 next_seq_ = 0;
-};
-
-/// Engine::Calendar -- two-level timer wheel, amortized O(1) per op.
-class CalendarSleeperQueueImpl final : public Domain::SleeperQueue {
- public:
-  void insert(Domain::Sleeper* s) override { s->seq = q_.insert(s->deadline.count(), s); }
-
-  bool erase(Domain::Sleeper* s) override { return q_.erase(s->deadline.count(), s->seq); }
-
-  std::optional<TimePoint> earliest() const override {
-    const std::optional<i64> e = q_.earliest();
-    if (!e) return std::nullopt;
-    return TimePoint{*e};
-  }
-
-  void pop_due(TimePoint t, std::vector<Domain::Sleeper*>& out) override {
-    scratch_.clear();
-    q_.pop_due(t.count(), scratch_);
-    for (auto& e : scratch_) out.push_back(e.value);
-  }
-
-  size_t size() const override { return q_.size(); }
-
- private:
-  CalendarQueue<Domain::Sleeper*> q_;
-  std::vector<CalendarQueue<Domain::Sleeper*>::Entry> scratch_;
-};
-
-// ---- Engine selection -------------------------------------------------------
-
-std::optional<Domain::Engine> Domain::parse_engine(std::string_view name) {
-  if (name == "calendar") return Engine::Calendar;
-  if (name == "legacy" || name == "multimap") return Engine::Legacy;
-  return std::nullopt;
-}
-
-const char* Domain::engine_name(Engine engine) {
-  return engine == Engine::Calendar ? "calendar" : "legacy";
-}
-
-Domain::Engine Domain::default_engine() {
-  if (const char* env = std::getenv("GPUVM_VT_ENGINE")) {
-    if (const auto parsed = parse_engine(env)) return *parsed;
-    log::warn("GPUVM_VT_ENGINE=%s not recognized (want calendar|legacy); using calendar", env);
-  }
-  return Engine::Calendar;
-}
-
 // ---- Domain -----------------------------------------------------------------
 
-Domain::Domain(Mode mode, double real_scale, Engine engine)
-    : mode_(mode),
-      engine_(engine),
-      real_scale_(real_scale),
-      real_start_(std::chrono::steady_clock::now()) {
-  if (engine_ == Engine::Legacy) {
-    queue_ = std::make_unique<MultimapSleeperQueueImpl>();
-  } else {
-    queue_ = std::make_unique<CalendarSleeperQueueImpl>();
-  }
-}
+Domain::Domain(Mode mode, double real_scale)
+    : mode_(mode), real_scale_(real_scale), real_start_(std::chrono::steady_clock::now()) {}
 
 Domain::~Domain() {
   std::scoped_lock lock(mu_);
@@ -215,17 +101,22 @@ void Domain::sleep_until_locked(std::unique_lock<std::mutex>& lock, TimePoint t)
   if (t <= now_) return;
   Sleeper sleeper;
   sleeper.deadline = t;
-  queue_->insert(&sleeper);
-  const u64 population = queue_->size();
+  park_locked(lock, sleeper);
+}
+
+void Domain::park_locked(std::unique_lock<std::mutex>& lock, Sleeper& s) {
+  s.seq = queue_.insert(s.deadline.count(), &s);
+  const u64 population = queue_.size();
   if (population > sleepers_peak_.load(std::memory_order_relaxed)) {
     sleepers_peak_.store(population, std::memory_order_relaxed);
   }
   // Leave the running set; if we were the last activity, advance inline --
   // in which case the wait below returns immediately (due already set).
   dec_activity_locked();
-  sleeper.wake.wait(lock, [&] { return sleeper.due; });
-  // The advance popped our queue entry and transferred its wake-in-flight
-  // activity credit to us; we resume running with it, so net zero here.
+  s.wake.wait(lock, [&] { return s.due; });
+  // The advance (or a cancel) popped our queue entry and transferred its
+  // wake-in-flight activity credit to us; we resume running with it, so net
+  // zero here.
 }
 
 void Domain::hold() {
@@ -244,23 +135,23 @@ void Domain::unhold() {
 
 void Domain::maybe_advance_locked() {
   if (activity_.load(std::memory_order_acquire) != 0) return;
-  const std::optional<TimePoint> earliest = queue_->earliest();
+  const std::optional<i64> earliest = queue_.earliest();
   if (!earliest) return;
   // Quiescent: jump the clock to the earliest deadline and wake every due
   // sleeper. Each woken sleeper counts as a wake in flight (folded into
   // activity_) until it resumes, so the clock cannot skip past it.
-  const TimePoint target = std::max(now_, *earliest);
+  const TimePoint target = std::max(now_, TimePoint{*earliest});
   due_scratch_.clear();
-  queue_->pop_due(target, due_scratch_);
+  queue_.pop_due(target.count(), due_scratch_);
   assert(!due_scratch_.empty());
   now_ = target;
   now_mirror_.store(now_.count(), std::memory_order_release);
   advances_.fetch_add(1, std::memory_order_relaxed);
   dispatched_.fetch_add(due_scratch_.size(), std::memory_order_relaxed);
   activity_.fetch_add(static_cast<i64>(due_scratch_.size()), std::memory_order_relaxed);
-  for (Sleeper* s : due_scratch_) {
-    s->due = true;
-    s->wake.notify_one();
+  for (const auto& entry : due_scratch_) {
+    entry.value->due = true;
+    entry.value->wake.notify_one();
   }
 }
 
@@ -313,10 +204,10 @@ void Domain::note_wakes(int count) {
 std::string Domain::debug_state() const {
   std::scoped_lock lock(mu_);
   std::ostringstream out;
-  out << "vt::Domain{engine=" << engine_name(engine_) << " now=" << now_.count()
-      << "ns attached=" << attached_ << " activity=" << activity_.load(std::memory_order_relaxed)
-      << " holds=" << holds_ << " sleepers=" << queue_->size();
-  if (const auto e = queue_->earliest()) out << " next_deadline=" << e->count() << "ns";
+  out << "vt::Domain{now=" << now_.count() << "ns attached=" << attached_
+      << " activity=" << activity_.load(std::memory_order_relaxed) << " holds=" << holds_
+      << " sleepers=" << queue_.size();
+  if (const auto e = queue_.earliest()) out << " next_deadline=" << *e << "ns";
   out << " advances=" << advances_.load(std::memory_order_relaxed)
       << " dispatched=" << dispatched_.load(std::memory_order_relaxed) << "}";
   return out.str();
@@ -353,14 +244,8 @@ bool Alarm::wait_until(TimePoint t) {
   if (t <= dom_->now_) return true;
   Domain::Sleeper sleeper;
   sleeper.deadline = t;
-  dom_->queue_->insert(&sleeper);
-  const u64 population = dom_->queue_->size();
-  if (population > dom_->sleepers_peak_.load(std::memory_order_relaxed)) {
-    dom_->sleepers_peak_.store(population, std::memory_order_relaxed);
-  }
-  parked_ = &sleeper;
-  dom_->dec_activity_locked();
-  sleeper.wake.wait(lock, [&] { return sleeper.due; });
+  parked_ = &sleeper;  // mu_ stays held until park_locked waits
+  dom_->park_locked(lock, sleeper);
   parked_ = nullptr;
   return !sleeper.cancelled;
 }
@@ -381,7 +266,7 @@ void Alarm::cancel() {
   if (s->due) return;  // deadline wake already delivered; waiter is resuming
   // Substitute for the advance: pull the sleeper out of the queue, hand it a
   // wake-in-flight activity credit, and wake it at the *current* instant.
-  dom_->queue_->erase(s);
+  dom_->queue_.erase(s->deadline.count(), s->seq);
   s->due = true;
   s->cancelled = true;
   dom_->activity_.fetch_add(1, std::memory_order_relaxed);

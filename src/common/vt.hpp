@@ -22,13 +22,10 @@
 // (running threads + holds + wakes in flight): the hot paths -- reading the
 // clock, condition-variable waits and notifies from attached threads --
 // never take the domain mutex, which now guards only the sleeper queue and
-// the advance itself. The sleeper queue is pluggable (Domain::Engine):
-//   - Calendar (default): a two-level calendar queue / timer wheel
-//     (common/calendar_queue.hpp), amortized O(1) per sleep;
-//   - Legacy: the original std::multimap, kept as a bit-identical baseline
-//     that the chaos determinism suite replays against the fast path.
-// Both engines wake same-deadline sleepers in insertion order, so replacing
-// one with the other cannot reorder events.
+// the advance itself. The sleeper queue is a two-level calendar queue /
+// timer wheel (common/calendar_queue.hpp), amortized O(1) per sleep; it
+// wakes same-deadline sleepers in insertion order, the determinism contract
+// test_vt checks against a std::multimap reference.
 //
 // For simulations with very many logical actors (thousands of tenants,
 // millions of jobs) a thread per actor stops scaling; vt::TaskRunner
@@ -58,10 +55,10 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "common/calendar_queue.hpp"
 #include "common/types.hpp"
 
 namespace gpuvm::vt {
@@ -93,12 +90,6 @@ class Alarm;
 
 class Domain {
  public:
-  /// Sleeper-queue implementation (Virtual mode only).
-  enum class Engine {
-    Calendar,  ///< calendar-queue fast path (default)
-    Legacy,    ///< original std::multimap quiescence clock (baseline)
-  };
-
   /// Clock-engine counters (monotone since construction; lock-free reads).
   struct ClockStats {
     u64 advances = 0;           ///< quiescence advances performed
@@ -106,22 +97,13 @@ class Domain {
     u64 sleepers_peak = 0;      ///< peak concurrent sleeper-queue population
   };
 
-  /// Engine named by $GPUVM_VT_ENGINE ("calendar" | "legacy"); Calendar
-  /// when unset or unrecognized.
-  static Engine default_engine();
-  /// "calendar"/"legacy" -> engine; nullopt on anything else.
-  static std::optional<Engine> parse_engine(std::string_view name);
-  static const char* engine_name(Engine engine);
-
-  explicit Domain(Mode mode = Mode::Virtual, double real_scale = 1e-3,
-                  Engine engine = default_engine());
+  explicit Domain(Mode mode = Mode::Virtual, double real_scale = 1e-3);
   ~Domain();
 
   Domain(const Domain&) = delete;
   Domain& operator=(const Domain&) = delete;
 
   Mode mode() const { return mode_; }
-  Engine engine() const { return engine_; }
 
   /// Current virtual time. Lock-free in Virtual mode: the clock only moves
   /// at quiescence points, so any attached running thread reads an exact
@@ -172,20 +154,14 @@ class Domain {
   friend class ConditionVariable;
   friend class IdleGuard;
   friend class Alarm;
-  friend class MultimapSleeperQueueImpl;
-  friend class CalendarSleeperQueueImpl;
 
   struct Sleeper {
     TimePoint deadline{};
-    u64 seq = 0;          // assigned by the queue at insert (erase key)
+    u64 seq = 0;          // returned by the queue's insert (erase key)
     std::condition_variable wake;
     bool due = false;       // set by the advancing thread before notifying
     bool cancelled = false; // set by Alarm::cancel instead of the advance
   };
-
-  /// Deadline-ordered sleeper store; implementations must pop same-deadline
-  /// sleepers in insertion order (the determinism contract).
-  class SleeperQueue;
 
   // ---- Quiescence accounting -------------------------------------------------
   // activity_ == running threads + outstanding holds + wakes in flight.
@@ -199,21 +175,25 @@ class Domain {
   // mu_ guards: queue_, now_, attached_, holds_, and the advance itself.
   mutable std::mutex mu_;
   Mode mode_;
-  Engine engine_;
   double real_scale_;
   std::chrono::steady_clock::time_point real_start_;
   TimePoint now_{0};
   std::atomic<std::int64_t> now_mirror_{0};  // lock-free copy of now_ (ns)
   int attached_ = 0;
   int holds_ = 0;
-  std::unique_ptr<SleeperQueue> queue_;
-  std::vector<Sleeper*> due_scratch_;  // advance working set (avoids allocs)
+  CalendarQueue<Sleeper*> queue_;
+  std::vector<CalendarQueue<Sleeper*>::Entry> due_scratch_;  // advance working set
 
   std::atomic<u64> advances_{0};
   std::atomic<u64> dispatched_{0};
   std::atomic<u64> sleepers_peak_{0};
 
   void sleep_until_locked(std::unique_lock<std::mutex>& lock, TimePoint t);
+
+  // Called with mu_ held: queues `s` (deadline set by the caller), leaves
+  // the running set and blocks until an advance or Alarm::cancel marks it
+  // due.
+  void park_locked(std::unique_lock<std::mutex>& lock, Sleeper& s);
 
   // Called with mu_ held. If the domain is quiescent, advances the clock to
   // the earliest deadline and wakes the due sleepers (popping them).

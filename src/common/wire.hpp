@@ -131,10 +131,22 @@ class WireReader {
     return std::string(raw.begin(), raw.end());
   }
 
+  /// Reads a u64 element count and fails the reader unless the remaining
+  /// payload can hold that many `elem_bytes`-sized elements, so a decoder
+  /// never sizes an allocation beyond the frame it received.
+  u64 get_count(size_t elem_bytes) {
+    const u64 n = get<u64>();
+    if (n > remaining() / elem_bytes) {
+      ok_ = false;
+      return 0;
+    }
+    return n;
+  }
+
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   std::vector<T> get_vector() {
-    const u64 n = get<u64>();
+    const u64 n = get_count(sizeof(T));
     std::vector<T> out;
     if (!take(n * sizeof(T))) return out;
     out.resize(n);

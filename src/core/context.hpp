@@ -108,8 +108,7 @@ struct Context {
   double credits = 0.0;               ///< credit-based scheduling account
   double gpu_time_used_seconds = 0.0;
 
-  /// Last device call + error (for diagnostics and recovery).
-  std::string last_call;
+  /// Last failed call's status (cudaGetLastError).
   Status last_error = Status::Ok;
 
   /// Set when the context launched a kernel flagged as using in-kernel

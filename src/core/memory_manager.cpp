@@ -17,6 +17,14 @@ namespace gpuvm::core {
 
 namespace {
 
+/// Transfer consolidation on the swap path: dirty ranges separated by a
+/// clean gap of at most this many bytes ship as one transfer, trading a few
+/// redundant bytes for one less per-transfer PCIe latency.
+constexpr u64 kCoalesceGapBytes = 4096;
+
+/// Modeled charge per TLB miss on the paged prepare_launch path (ns).
+constexpr u64 kTlbMissNs = 600;
+
 obs::Histogram& swap_bytes_hist() {
   static obs::Histogram& h =
       obs::metrics().histogram(obs::names::kMmSwapBytes, obs::default_bytes_edges());
@@ -163,12 +171,12 @@ void MemoryManager::ctx_lru_remove(CtxMem& mem) const {
 
 std::vector<ByteRange> MemoryManager::writeback_ranges(const PageTableEntry& pte) const {
   if (!config_.incremental_swap) return {ByteRange{0, pte.size}};
-  return pte.dev_dirty.coalesced(config_.coalesce_gap_bytes);
+  return pte.dev_dirty.coalesced(kCoalesceGapBytes);
 }
 
 std::vector<ByteRange> MemoryManager::upload_ranges(const PageTableEntry& pte) const {
   if (!config_.incremental_swap) return {ByteRange{0, pte.size}};
-  return pte.host_dirty.coalesced(config_.coalesce_gap_bytes);
+  return pte.host_dirty.coalesced(kCoalesceGapBytes);
 }
 
 StatusOr<VirtualPtr> MemoryManager::on_malloc(ContextId ctx, u64 size) {
@@ -772,7 +780,7 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
     if (hits > 0) tlb_hits_counter().add(hits);
     if (misses > 0) {
       tlb_misses_counter().add(misses);
-      rt_->machine().domain().sleep_for(vt::Duration{misses * config_.tlb_miss_ns});
+      rt_->machine().domain().sleep_for(vt::Duration{misses * kTlbMissNs});
     }
   }
 
@@ -795,7 +803,7 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
       // stay behind and page in when a later launch names them. All hinted
       // pages already resident: nothing to ship, no writeback fence, and no
       // bulk transfer counted (the entry stays flagged for its cold pages).
-      up.ranges = pte->host_dirty.intersected(h->second).coalesced(config_.coalesce_gap_bytes);
+      up.ranges = pte->host_dirty.intersected(h->second).coalesced(kCoalesceGapBytes);
       if (up.ranges.empty()) continue;
     } else {
       up.ranges = upload_ranges(*pte);

@@ -168,10 +168,6 @@ class MemoryManager {
     /// validated ranges) instead of whole entries. False restores the naive
     /// whole-buffer baseline for ablation (bench_swap).
     bool incremental_swap = true;
-    /// Transfer consolidation on the swap path: dirty ranges separated by a
-    /// clean gap of at most this many bytes ship as one transfer, trading a
-    /// few redundant bytes for one less per-transfer PCIe latency.
-    u64 coalesce_gap_bytes = 4096;
 
     // ---- Paged engine -----------------------------------------------------
 
@@ -188,8 +184,6 @@ class MemoryManager {
     u64 page_bytes = 64 * 1024;
     /// Per-context TLB capacity in (entry, page) translations.
     u64 tlb_entries = 64;
-    /// Modeled charge per TLB miss on the prepare_launch path (ns).
-    u64 tlb_miss_ns = 600;
     /// Victim-ranking policy (core/paging_policy.hpp registry).
     std::string eviction_policy = "page-lru";
     /// Page-in prediction policy; "none" = demand paging only.
@@ -315,8 +309,6 @@ class MemoryManager {
   /// Page-table shard-lock acquisitions that found the shard busy.
   u64 shard_contention() const { return contexts_.contention(); }
   Config config() const { return config_; }
-  void set_defer_transfers(bool defer) { config_.defer_transfers = defer; }
-  void set_async_writeback(bool async) { config_.async_writeback = async; }
 
  private:
   /// Pre-copy dirty tracking for one migration attempt. Guarded -- like

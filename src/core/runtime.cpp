@@ -77,20 +77,12 @@ obs::Histogram& migration_stop_copy_ms_hist() {
   return h;
 }
 
-/// RAII dispatch-lock holder built on Runtime::timed_lock (records wait time
-/// and contention when the lock was busy).
-class DispatchGuard {
- public:
-  DispatchGuard(ContextLock& lk, const std::function<void(ContextLock&)>& locker) : lk_(lk) {
-    locker(lk_);
-  }
-  ~DispatchGuard() { lk_.unlock(); }
-  DispatchGuard(const DispatchGuard&) = delete;
-  DispatchGuard& operator=(const DispatchGuard&) = delete;
-
- private:
-  ContextLock& lk_;
-};
+// Live migration (migrate_context): pre-copy rounds after the round-0
+// image, the delta size at which pre-copy counts as converged, and the
+// attempts to catch the connection idle before the stop-and-copy gives up.
+constexpr int kMaxPrecopyRounds = 3;
+constexpr u64 kStopCopyThresholdBytes = 4096;
+constexpr int kMaxQuiesceAttempts = 50;
 
 }  // namespace
 
@@ -110,7 +102,6 @@ Runtime::Runtime(cudart::CudaRt& rt, RuntimeConfig config)
         return mc;
       }())),
       scheduler_(std::make_unique<Scheduler>(rt, *mm_, config.scheduler)),
-      global_dispatch_(std::make_unique<ContextLock>(rt.machine().domain())),
       drained_cv_(rt.machine().domain()) {
   // vGPUs for the devices installed at startup.
   const auto all = rt_->machine().all_gpus();
@@ -161,7 +152,7 @@ void Runtime::on_topology_event(sim::TopologyEvent event, GpuId gpu) {
 }
 
 std::unique_ptr<transport::MessageChannel> Runtime::connect() {
-  return connect_with(config_.frontend_costs);
+  return connect_with(transport::ChannelCosts::local_socket());
 }
 
 std::unique_ptr<transport::MessageChannel> Runtime::connect_with(
@@ -296,6 +287,11 @@ void Runtime::timed_lock(ContextLock& lk) const {
   vt::StopWatch watch(rt_->machine().domain());
   lk.lock();
   dispatch_lock_wait_hist().observe(watch.elapsed_seconds());
+}
+
+std::unique_lock<ContextLock> Runtime::lock_context(ContextLock& lk) const {
+  timed_lock(lk);
+  return std::unique_lock<ContextLock>(lk, std::adopt_lock);
 }
 
 void Runtime::publish_metrics() const {
@@ -559,8 +555,6 @@ void Runtime::connection_loop(transport::MessageChannel& channel) {
                                        transport::encode_hello_reply(hr)));
   }
 
-  const bool global = config_.dispatch_mode == DispatchMode::GlobalLock;
-  const auto locker = [this](ContextLock& lk) { timed_lock(lk); };
   while (auto msg = channel.receive()) {
     if (msg->op == Opcode::Goodbye) {
       // A migrated context's teardown must reach the target too, or its
@@ -598,17 +592,9 @@ void Runtime::connection_loop(transport::MessageChannel& channel) {
     // zero -- so a racing call either sees the flag (and forwards to the
     // target) or is counted (and the committer rolls back and retries).
     ctx->calls_in_flight.fetch_add(1, std::memory_order_seq_cst);
-    transport::Message out;
-    if (ctx->migrated.load(std::memory_order_seq_cst)) {
-      out = forward_migrated(*ctx, channel, *msg);
-    } else if (global) {
-      // Legacy discipline: one daemon-wide lock across the entire call,
-      // including queueing for a vGPU and the kernel itself.
-      DispatchGuard g(*global_dispatch_, locker);
-      out = handle(*ctx, channel, *msg);
-    } else {
-      out = handle(*ctx, channel, *msg);
-    }
+    transport::Message out = ctx->migrated.load(std::memory_order_seq_cst)
+                                 ? forward_migrated(*ctx, channel, *msg)
+                                 : handle(*ctx, channel, *msg);
     if (ctx->calls_in_flight.fetch_sub(1, std::memory_order_seq_cst) == 1) {
       // Wake a quiescing migrator at this exact instant (see migrate_context:
       // its rollback path waits for the blocking call to retire).
@@ -662,9 +648,8 @@ void Runtime::offload_proxy_loop(transport::MessageChannel& client,
 
 Message Runtime::forward_migrated(Context& ctx, transport::MessageChannel& channel,
                                   const Message& msg) {
-  const auto locker = [this](ContextLock& lk) { timed_lock(lk); };
   {
-    DispatchGuard ctx_lock(ctx.lock, locker);
+    const auto ctx_lock = lock_context(ctx.lock);
     if (ctx.migrated.load(std::memory_order_seq_cst) && ctx.fwd != nullptr) {
       obs::SpanScope hop("migrate-hop", "migrate", obs::kRuntimePid,
                         obs::kOffloadTidBase + ctx.id.value, ctx.id.value,
@@ -684,10 +669,6 @@ Message Runtime::forward_migrated(Context& ctx, transport::MessageChannel& chann
   // The migration rolled back between the caller's flag check and the lock
   // acquisition: serve locally. handle() takes ctx.lock itself for memory
   // ops, so it must run with the lock released.
-  if (config_.dispatch_mode == DispatchMode::GlobalLock) {
-    DispatchGuard g(*global_dispatch_, locker);
-    return handle(ctx, channel, msg);
-  }
   return handle(ctx, channel, msg);
 }
 
@@ -738,8 +719,7 @@ Status Runtime::apply_migrate_resume(Context& ctx, const Message& msg) {
 }
 
 StatusOr<MigrationReport> Runtime::migrate_context(
-    ContextId id, const std::function<std::unique_ptr<transport::MessageChannel>()>& factory,
-    MigrationOptions options) {
+    ContextId id, const std::function<std::unique_ptr<transport::MessageChannel>()>& factory) {
   vt::Domain& dom = rt_->machine().domain();
   // Callable from unattached threads (tests, tools): channel costs and the
   // quiesce backoff sleep in virtual time, which must be accounted.
@@ -818,7 +798,6 @@ StatusOr<MigrationReport> Runtime::migrate_context(
   }
 
   MigrationReport report;
-  const auto locker = [this](ContextLock& lk) { timed_lock(lk); };
   const auto ship = [&](u32 round, std::vector<u8> bytes) -> Status {
     transport::MigrateChunkPayload chunk;
     chunk.round = round;
@@ -837,7 +816,7 @@ StatusOr<MigrationReport> Runtime::migrate_context(
   };
   const auto abort_migration = [&](Status s) -> StatusOr<MigrationReport> {
     {
-      DispatchGuard ctx_lock(ctx->lock, locker);
+      const auto ctx_lock = lock_context(ctx->lock);
       mm_->end_migration(id);
     }
     peer->close();
@@ -853,7 +832,7 @@ StatusOr<MigrationReport> Runtime::migrate_context(
   // lands in the armed epoch.
   {
     StatusOr<std::vector<u8>> image = [&]() -> StatusOr<std::vector<u8>> {
-      DispatchGuard ctx_lock(ctx->lock, locker);
+      const auto ctx_lock = lock_context(ctx->lock);
       if (const Status s = mm_->begin_migration(id); !ok(s)) return s;
       auto img = mm_->export_image(id);
       if (!img) mm_->end_migration(id);
@@ -874,9 +853,9 @@ StatusOr<MigrationReport> Runtime::migrate_context(
   // converged once a round comes in under the threshold. Every collected
   // delta must ship (collect clears the epoch), so a transport failure
   // after a successful collect aborts the whole attempt.
-  for (int round = 1; round <= options.max_precopy_rounds; ++round) {
+  for (int round = 1; round <= kMaxPrecopyRounds; ++round) {
     StatusOr<std::vector<u8>> delta = [&] {
-      DispatchGuard ctx_lock(ctx->lock, locker);
+      const auto ctx_lock = lock_context(ctx->lock);
       return mm_->collect_migration_delta(id);
     }();
     if (!delta) return abort_migration(delta.status());
@@ -889,7 +868,7 @@ StatusOr<MigrationReport> Runtime::migrate_context(
     if (const Status s = ship(static_cast<u32>(round), std::move(delta).value()); !ok(s)) {
       return abort_migration(s);
     }
-    if (delta_size <= options.stop_copy_threshold_bytes) break;
+    if (delta_size <= kStopCopyThresholdBytes) break;
   }
 
   // Stop-and-copy. Flip the forwarding flag, then require the connection
@@ -910,7 +889,7 @@ StatusOr<MigrationReport> Runtime::migrate_context(
     ctx->lock.unlock();
     log::debug("runtime: migration ctx %llu quiesce rollback (attempt %d)",
                static_cast<unsigned long long>(id.value), attempts + 1);
-    if (++attempts >= options.max_quiesce_attempts) {
+    if (++attempts >= kMaxQuiesceAttempts) {
       return abort_migration(Status::ErrorNotSupported);
     }
     {
@@ -1010,7 +989,6 @@ Message Runtime::handle(Context& ctx, transport::MessageChannel& channel, const 
     if (!ok(s)) ctx.last_error = s;
     return transport::make_reply(conn, s, std::move(payload));
   };
-  const auto locker = [this](ContextLock& lk) { timed_lock(lk); };
   const u32 caps = ctx.caps.load(std::memory_order_acquire);
 
   switch (msg.op) {
@@ -1018,7 +996,6 @@ Message Runtime::handle(Context& ctx, transport::MessageChannel& channel, const 
     case Opcode::RegisterFatBinary: {
       const u64 module = ctx.next_module++;
       ctx.modules.insert(module);
-      ctx.last_call = "registerFatBinary";
       WireWriter w;
       w.put<u64>(module);
       return reply(Status::Ok, w.take());
@@ -1033,7 +1010,6 @@ Message Runtime::handle(Context& ctx, transport::MessageChannel& channel, const 
       const std::string name = r.get_string();
       if (!r.ok() || ctx.modules.count(module) == 0) return reply(Status::ErrorInvalidValue);
       ctx.functions[handle] = name;
-      ctx.last_call = "registerFunction:" + name;
       return reply(Status::Ok);
     }
     case Opcode::RegisterVar:
@@ -1059,8 +1035,7 @@ Message Runtime::handle(Context& ctx, transport::MessageChannel& channel, const 
     case Opcode::Malloc: {
       const u64 size = r.get<u64>();
       if (!r.ok()) return reply(Status::ErrorProtocol);
-      DispatchGuard ctx_lock(ctx.lock, locker);
-      ctx.last_call = "malloc";
+      const auto ctx_lock = lock_context(ctx.lock);
       auto vptr = mm_->on_malloc(ctx.id, size);
       if (!vptr) return reply(vptr.status());
       WireWriter w;
@@ -1070,16 +1045,14 @@ Message Runtime::handle(Context& ctx, transport::MessageChannel& channel, const 
     case Opcode::Free: {
       const u64 ptr = r.get<u64>();
       if (!r.ok()) return reply(Status::ErrorProtocol);
-      DispatchGuard ctx_lock(ctx.lock, locker);
-      ctx.last_call = "free";
+      const auto ctx_lock = lock_context(ctx.lock);
       return reply(mm_->on_free(ctx.id, ptr));
     }
     case Opcode::MemcpyH2D: {
       const u64 dst = r.get<u64>();
       const auto data = r.get_span();
       if (!r.ok()) return reply(Status::ErrorProtocol);
-      DispatchGuard ctx_lock(ctx.lock, locker);
-      ctx.last_call = "memcpyH2D";
+      const auto ctx_lock = lock_context(ctx.lock);
       std::optional<ClientId> bound;
       if (auto binding = scheduler_->binding_of(ctx.id)) bound = binding->client;
       return reply(mm_->on_copy_h2d(ctx.id, dst,
@@ -1089,9 +1062,10 @@ Message Runtime::handle(Context& ctx, transport::MessageChannel& channel, const 
       const u64 src = r.get<u64>();
       const u64 size = r.get<u64>();
       if (!r.ok()) return reply(Status::ErrorProtocol);
-      std::vector<u8> out(size);
-      DispatchGuard ctx_lock(ctx.lock, locker);
-      ctx.last_call = "memcpyD2H";
+      const auto ctx_lock = lock_context(ctx.lock);
+      // No copy can exceed the context's footprint: a larger size gets an
+      // empty buffer, which on_copy_d2h rejects, instead of an allocation.
+      std::vector<u8> out(size <= mm_->mem_usage(ctx.id) ? size : 0);
       const Status s = mm_->on_copy_d2h(
           ctx.id, std::as_writable_bytes(std::span(out.data(), out.size())), src, size);
       if (!ok(s)) return reply(s);
@@ -1104,8 +1078,7 @@ Message Runtime::handle(Context& ctx, transport::MessageChannel& channel, const 
       const u64 src = r.get<u64>();
       const u64 size = r.get<u64>();
       if (!r.ok()) return reply(Status::ErrorProtocol);
-      DispatchGuard ctx_lock(ctx.lock, locker);
-      ctx.last_call = "memcpyD2D";
+      const auto ctx_lock = lock_context(ctx.lock);
       return reply(mm_->on_copy_d2d(ctx.id, dst, src, size));
     }
     case Opcode::RegisterNested: {
@@ -1113,7 +1086,7 @@ Message Runtime::handle(Context& ctx, transport::MessageChannel& channel, const 
         return reply(Status::ErrorNotSupported);
       }
       const u64 parent = r.get<u64>();
-      const u64 count = r.get<u64>();
+      const u64 count = r.get_count(2 * sizeof(u64));
       std::vector<NestedRef> refs;
       refs.reserve(count);
       for (u64 i = 0; i < count && r.ok(); ++i) {
@@ -1123,13 +1096,12 @@ Message Runtime::handle(Context& ctx, transport::MessageChannel& channel, const 
         refs.push_back(ref);
       }
       if (!r.ok()) return reply(Status::ErrorProtocol);
-      DispatchGuard ctx_lock(ctx.lock, locker);
+      const auto ctx_lock = lock_context(ctx.lock);
       return reply(mm_->register_nested(ctx.id, parent, refs));
     }
     case Opcode::Checkpoint: {
       if ((caps & protocol::caps::kCheckpoint) == 0) return reply(Status::ErrorNotSupported);
-      DispatchGuard ctx_lock(ctx.lock, locker);
-      ctx.last_call = "checkpoint";
+      const auto ctx_lock = lock_context(ctx.lock);
       return reply(mm_->checkpoint(ctx.id));
     }
 
@@ -1151,7 +1123,7 @@ Message Runtime::handle(Context& ctx, transport::MessageChannel& channel, const 
     case Opcode::Launch: {
       const std::string name = r.get_string();
       const auto config = r.get<sim::LaunchConfig>();
-      const u64 argc = r.get<u64>();
+      const u64 argc = r.get_count(sizeof(u8) + sizeof(u64));
       std::vector<sim::KernelArg> args;
       args.reserve(argc);
       for (u64 i = 0; i < argc && r.ok(); ++i) {
@@ -1161,11 +1133,9 @@ Message Runtime::handle(Context& ctx, transport::MessageChannel& channel, const 
         args.push_back(arg);
       }
       if (!r.ok()) return reply(Status::ErrorProtocol);
-      ctx.last_call = "launch:" + name;
       return reply(do_launch(ctx, channel, name, config, args));
     }
     case Opcode::Synchronize: {
-      ctx.last_call = "synchronize";
       if (auto binding = scheduler_->binding_of(ctx.id)) {
         return reply(rt_->device_synchronize(binding->client));
       }
@@ -1180,14 +1150,12 @@ Message Runtime::handle(Context& ctx, transport::MessageChannel& channel, const 
     // ---- Live migration (target side; protocol v4) ---------------------------
     case Opcode::MigrateChunk: {
       if ((caps & protocol::caps::kMigrate) == 0) return reply(Status::ErrorNotSupported);
-      DispatchGuard ctx_lock(ctx.lock, locker);
-      ctx.last_call = "migrateChunk";
+      const auto ctx_lock = lock_context(ctx.lock);
       return reply(apply_migrate_chunk(ctx, msg));
     }
     case Opcode::MigrateResume: {
       if ((caps & protocol::caps::kMigrate) == 0) return reply(Status::ErrorNotSupported);
-      DispatchGuard ctx_lock(ctx.lock, locker);
-      ctx.last_call = "migrateResume";
+      const auto ctx_lock = lock_context(ctx.lock);
       return reply(apply_migrate_resume(ctx, msg));
     }
 
@@ -1289,7 +1257,6 @@ Status Runtime::do_launch(Context& ctx, transport::MessageChannel& channel,
   // swaps, the kernel itself, any recovery replays.
   obs::SpanScope launch_span(name, "launch", obs::kRuntimePid, ctx.id.value, ctx.id.value);
   vt::StopWatch launch_watch(dom);
-  const auto locker = [this](ContextLock& lk) { timed_lock(lk); };
 
   int recovery_attempts = 0;
   for (;;) {
@@ -1309,7 +1276,7 @@ Status Runtime::do_launch(Context& ctx, transport::MessageChannel& channel,
     Next next = Next::Done;
     Status result = Status::Ok;
     {
-      DispatchGuard ctx_lock(ctx.lock, locker);
+      const auto ctx_lock = lock_context(ctx.lock);
       auto prep = mm_->prepare_launch(ctx.id, binding.gpu, binding.client, args);
       switch (prep.outcome) {
         case MemoryManager::PrepareOutcome::WouldBlock: {
@@ -1383,7 +1350,7 @@ Status Runtime::do_launch(Context& ctx, transport::MessageChannel& channel,
         // out during the kernel yields here, at the kernel boundary.
         if (!ctx.pinned && scheduler_->quantum_expired(ctx.id)) {
           {
-            DispatchGuard ctx_lock(ctx.lock, locker);
+            const auto ctx_lock = lock_context(ctx.lock);
             obs::SpanScope preempt_span("preempt", "sched", obs::kRuntimePid, ctx.id.value,
                                         ctx.id.value);
             (void)mm_->preempt_swap_out(ctx.id);
@@ -1413,7 +1380,7 @@ Status Runtime::do_launch(Context& ctx, transport::MessageChannel& channel,
         // another partial holder); the retry pace is matched to kernel
         // durations, not a busy spin.
         {
-          DispatchGuard ctx_lock(ctx.lock, locker);
+          const auto ctx_lock = lock_context(ctx.lock);
           (void)mm_->swap_context(ctx.id);
         }
         scheduler_->release(ctx);

@@ -10,17 +10,13 @@
 // onto surviving devices; overload can be shed to a peer node daemon
 // (inter-node offloading).
 //
-// Threading model (DispatchMode::Sharded, the default): each connection is
-// served by its own thread; a call locks only its context's ContextLock, the
-// context table and per-context page tables are sharded maps, counters are
-// relaxed atomics, and the daemon-wide mu_ guards nothing but connection
-// bookkeeping and the CUDA-4 app-context registry. Tenants contend only on
-// the scheduler (when competing for vGPUs) and on the device engines
-// themselves. DispatchMode::GlobalLock is the legacy discipline -- one
-// daemon-wide vt-aware lock held across every call -- kept as an explicit
-// baseline for the throughput benchmark; it requires at least as many vGPUs
-// as concurrently launching tenants (a tenant blocked in acquire() holds the
-// dispatch lock).
+// Threading model: each connection is served by its own thread; a call
+// locks only its context's ContextLock, the context table and per-context
+// page tables are sharded maps, counters are relaxed atomics, and the
+// daemon-wide mu_ guards nothing but connection bookkeeping and the CUDA-4
+// app-context registry. Tenants contend only on the scheduler (when
+// competing for vGPUs) and on the device engines themselves -- never on a
+// daemon-wide lock, so a tenant queued for a vGPU cannot stall the others.
 #pragma once
 
 #include <atomic>
@@ -42,22 +38,10 @@
 
 namespace gpuvm::core {
 
-/// How the dispatcher serializes concurrent application calls.
-enum class DispatchMode {
-  /// One daemon-wide lock held for the full duration of every call (the
-  /// pre-sharding discipline). Correct but serializes all tenants; kept as
-  /// the labeled baseline for bench_throughput.
-  GlobalLock,
-  /// Per-context locks, sharded context/page tables, atomic counters.
-  Sharded,
-};
-
 struct RuntimeConfig {
   /// Scheduling knobs (vGPUs per device, policy, migration, grace period),
   /// passed to the Scheduler verbatim -- see SchedulerConfig.
   SchedulerConfig scheduler;
-
-  DispatchMode dispatch_mode = DispatchMode::Sharded;
 
   bool defer_transfers = true;
 
@@ -88,9 +72,6 @@ struct RuntimeConfig {
   /// Auto-checkpoint after any kernel whose execution took at least this
   /// long (0 disables). Bounds the restart penalty after a GPU failure.
   double auto_checkpoint_after_kernel_seconds = 0.0;
-
-  /// Cost model of the frontend<->daemon hop for connect() channels.
-  transport::ChannelCosts frontend_costs = transport::ChannelCosts::local_socket();
 
   /// Attempts to re-run a context's device call on another GPU after a
   /// device failure before giving up.
@@ -124,17 +105,6 @@ struct RuntimeStats {
                                ///< peer, busy context, transport failure)
 };
 
-/// Knobs for one live-migration attempt (Runtime::migrate_context).
-struct MigrationOptions {
-  /// Pre-copy rounds after the round-0 image before stop-and-copy.
-  int max_precopy_rounds = 3;
-  /// Pre-copy converged: stop early once a round's delta is this small.
-  u64 stop_copy_threshold_bytes = 4096;
-  /// Attempts to catch the connection idle (calls_in_flight == 0) before
-  /// giving up on the stop-and-copy.
-  int max_quiesce_attempts = 50;
-};
-
 /// What one committed migration shipped (Runtime::migrate_context).
 struct MigrationReport {
   int precopy_rounds = 0;      ///< delta rounds actually run (excl. round 0)
@@ -154,7 +124,7 @@ class Runtime {
   Runtime& operator=(const Runtime&) = delete;
 
   /// Creates a connected frontend endpoint (in-process transport with
-  /// socket-like costs) and starts serving its peer.
+  /// local-socket costs) and starts serving its peer.
   std::unique_ptr<transport::MessageChannel> connect();
 
   /// Same, with an explicit channel cost model (inter-node links pay
@@ -212,8 +182,7 @@ class Runtime {
   /// failure before the resume frame is sent the migration aborts cleanly
   /// and the job keeps running here.
   StatusOr<MigrationReport> migrate_context(
-      ContextId id, const std::function<std::unique_ptr<transport::MessageChannel>()>& factory,
-      MigrationOptions options = {});
+      ContextId id, const std::function<std::unique_ptr<transport::MessageChannel>()>& factory);
 
   /// Preempts every bound context immediately, regardless of quantum
   /// (chaos "preempt" events). Returns the number of contexts preempted;
@@ -265,9 +234,11 @@ class Runtime {
   std::shared_ptr<Context> find_context(ContextId id);
 
   /// Locks `lk`, recording wait time and contention in the obs registry
-  /// when the lock was busy. Used for both per-context locks (Sharded) and
-  /// the daemon-wide lock (GlobalLock).
+  /// when the lock was busy.
   void timed_lock(ContextLock& lk) const;
+
+  /// timed_lock wrapped in a guard that unlocks at scope exit.
+  [[nodiscard]] std::unique_lock<ContextLock> lock_context(ContextLock& lk) const;
 
   cudart::CudaRt* rt_;
   RuntimeConfig config_;
@@ -282,10 +253,6 @@ class Runtime {
   /// serialize unrelated tenants.
   ShardedMap<ContextId, std::shared_ptr<Context>> contexts_;
   std::atomic<u64> next_context_{1};
-
-  /// The DispatchMode::GlobalLock baseline lock (vt-aware: a tenant blocked
-  /// on it does not stall the virtual clock). Unused in Sharded mode.
-  std::unique_ptr<ContextLock> global_dispatch_;
 
   /// Guards connection bookkeeping and the CUDA-4 shared-context registry
   /// only -- never held across a dispatched call.

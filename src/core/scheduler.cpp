@@ -50,10 +50,8 @@ Scheduler::Scheduler(cudart::CudaRt& rt, MemoryManager& mm, Config config)
     : rt_(&rt),
       mm_(&mm),
       config_(std::move(config)),
-      governor_(ThrashGovernor::Config{config_.quantum_seconds, config_.max_quantum_seconds,
-                                       config_.thrash_bytes_per_bind,
-                                       config_.quantum_escalation,
-                                       config_.calm_windows_before_decay}),
+      governor_(ThrashGovernor::Config{.base_quantum_seconds = config_.quantum_seconds,
+                                       .max_quantum_seconds = config_.max_quantum_seconds}),
       cv_(rt.machine().domain()),
       queue_wait_local_(std::vector<double>(obs::default_seconds_edges().begin(),
                                             obs::default_seconds_edges().end())),

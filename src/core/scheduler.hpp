@@ -77,16 +77,10 @@ struct SchedulerConfig {
   /// Base time quantum. See common/tuning.hpp for the tie-avoidance
   /// rationale behind the default.
   double quantum_seconds = tuning::kBaseQuantumSeconds;
-  /// Governor ceiling for adaptive quantum escalation.
+  /// Governor ceiling for adaptive quantum escalation (the thrash
+  /// threshold, escalation factor and decay hysteresis are
+  /// ThrashGovernor::Config's defaults).
   double max_quantum_seconds = tuning::kMaxQuantumSeconds;
-  /// Swap traffic per bind above which a rotation window counts as
-  /// thrashing and the governor escalates the quantum.
-  double thrash_bytes_per_bind = 256.0 * 1024.0;
-  /// Multiplier applied per escalation (and divided out per decay).
-  double quantum_escalation = 2.0;
-  /// Consecutive calm windows before the quantum decays one step back
-  /// toward the base.
-  int calm_windows_before_decay = 2;
 
   // ---- Cluster-level dispatch (head node; consumed by TorqueScheduler) -----
   /// Named DispatchPolicy (cluster/dispatch_policy.hpp): "round_robin",
@@ -115,8 +109,13 @@ class ThrashGovernor {
   struct Config {
     double base_quantum_seconds = tuning::kBaseQuantumSeconds;
     double max_quantum_seconds = tuning::kMaxQuantumSeconds;
+    /// Swap traffic per bind above which a rotation window counts as
+    /// thrashing and the quantum escalates.
     double bytes_per_bind_threshold = 256.0 * 1024.0;
+    /// Multiplier applied per escalation (and divided out per decay).
     double escalation = 2.0;
+    /// Consecutive calm windows before the quantum decays one step back
+    /// toward the base.
     int calm_windows_before_decay = 2;
   };
 

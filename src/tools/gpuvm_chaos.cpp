@@ -5,7 +5,7 @@
 //               [--verify-determinism] [--trace-out FILE.json]
 //               [--offload] [--no-load-reports] [--migrations N]
 //               [--preempt N] [--sched-policy NAME] [--quantum-us N]
-//               [--paging] [--vt-engine calendar|legacy]
+//               [--paging]
 //
 // Builds a multi-tenant cluster scenario, executes a FaultPlan against it
 // (seed-generated, or loaded from a plan file) and reports per-tenant
@@ -36,7 +36,7 @@ void usage() {
                "                   [--verify-determinism] [--trace-out FILE.json]\n"
                "                   [--offload] [--no-load-reports] [--migrations N]\n"
                "                   [--preempt N] [--sched-policy NAME] [--quantum-us N]\n"
-               "                   [--paging] [--vt-engine calendar|legacy]\n");
+               "                   [--paging]\n");
 }
 
 }  // namespace
@@ -62,7 +62,6 @@ int main(int argc, char** argv) {
   double quantum_us = 0.0;
   double horizon_ms = 30.0;
   bool paging = false;
-  std::string vt_engine;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -91,7 +90,6 @@ int main(int argc, char** argv) {
     else if (arg == "--quantum-us") quantum_us = std::atof(next());
     else if (arg == "--horizon-ms") horizon_ms = std::atof(next());
     else if (arg == "--paging") paging = true;
-    else if (arg == "--vt-engine") vt_engine = next();
     else {
       usage();
       return 2;
@@ -127,14 +125,6 @@ int main(int argc, char** argv) {
   }
   config.quantum_seconds = quantum_us * 1e-6;
   config.paging = paging;
-  if (!vt_engine.empty()) {
-    if (!vt::Domain::parse_engine(vt_engine).has_value()) {
-      std::fprintf(stderr, "gpuvm_chaos: unknown vt engine '%s' (want calendar|legacy)\n",
-                   vt_engine.c_str());
-      return 2;
-    }
-    config.vt_engine = vt_engine;
-  }
 
   if (!plan_file.empty()) {
     std::ifstream in(plan_file);

@@ -6,7 +6,7 @@
 // protocol) connect and issue CUDA calls. The daemon hosts the simulated
 // node: GPUs are configured on the command line.
 //
-//   gpuvmd --socket /tmp/gpuvm.sock --gpus c2050,c2050,c1060 \
+//   gpuvmd --socket /tmp/gpuvm.sock --gpus c2050,c2050,c1060
 //          --vgpus 4 --policy fcfs [--migration] [--cuda4] [--mem-scale 1024]
 //          [--trace-out FILE]
 //

@@ -122,7 +122,9 @@ TEST_P(AllocatorSoak, RandomOpsPreserveInvariants) {
       ASSERT_TRUE(a.release(it->first));
       live.erase(it);
     }
-    if (step % 256 == 0) ASSERT_TRUE(a.check_invariants()) << "step " << step;
+    if (step % 256 == 0) {
+      ASSERT_TRUE(a.check_invariants()) << "step " << step;
+    }
   }
   ASSERT_TRUE(a.check_invariants());
   for (const auto& [addr, size] : live) EXPECT_TRUE(a.release(addr));

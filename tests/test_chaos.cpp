@@ -219,31 +219,6 @@ TEST(ChaosDeterminism, EightTenantBatchReplaysIdentically) {
   EXPECT_EQ(first.requeues, second.requeues);
 }
 
-// The calendar-queue clock engine is a pure performance substitution: the
-// same chaotic scenario must produce bit-identical outcomes under the fast
-// path and the legacy multimap baseline. (CI soaks this over 20 seeds via
-// gpuvm_chaos --vt-engine; this is the in-tree regression.)
-TEST(ChaosDeterminism, CalendarAndLegacyClockEnginesAgree) {
-  ScenarioConfig config;
-  config.nodes = 2;
-  config.gpus_per_node = 2;
-  config.vgpus_per_device = 2;
-  config.tenants = 8;
-  config.kernels_per_tenant = 8;
-  config.plan = FaultPlan::random(20260806, 2, 2, 10, vt::from_millis(6));
-
-  config.vt_engine = "calendar";
-  const ScenarioResult calendar = run_scenario(config);
-  config.vt_engine = "legacy";
-  const ScenarioResult legacy = run_scenario(config);
-
-  EXPECT_TRUE(calendar.violations.empty()) << calendar.violations.front();
-  EXPECT_TRUE(calendar.deterministic_equal(legacy)) << calendar.diff(legacy);
-  EXPECT_EQ(calendar.makespan_seconds, legacy.makespan_seconds);
-  EXPECT_EQ(calendar.recoveries, legacy.recoveries);
-  EXPECT_EQ(calendar.requeues, legacy.requeues);
-}
-
 // ---------------------------------------------------------------------------
 // Causal tracing under chaos: an offloading scenario exports one merged
 // Perfetto trace, and two same-seed runs export bit-identical bytes (span

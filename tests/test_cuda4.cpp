@@ -187,6 +187,44 @@ TEST_F(Cuda4Test, PeerTransferFallsBackToSwapWhenSourceDied) {
   rt_->destroy_client(slot1);
 }
 
+TEST_F(Cuda4Test, ThreadsSharingAContextContendOnItsLock) {
+  // Two threads of one application copy and launch concurrently on their
+  // shared context: one thread's call waits on the context lock while the
+  // other's holds it, and the daemon counts the contended acquisitions.
+  // (Registration runs first, one thread at a time: it writes the shared
+  // context's symbol tables without the context lock.)
+  start(true);
+  constexpr u64 kFloats = 1024;
+  ConnectOptions options;
+  options.application_id = 9;
+  FrontendApi thread_a(runtime_->connect(), options);
+  FrontendApi thread_b(runtime_->connect(), options);
+  ASSERT_EQ(thread_a.register_kernels({"addone"}), Status::Ok);
+  ASSERT_EQ(thread_b.register_kernels({"addone"}), Status::Ok);
+  const auto worker = [&](FrontendApi& api, float base) {
+    auto buf = api.malloc(kFloats * sizeof(float));
+    ASSERT_TRUE(buf.has_value());
+    for (int i = 0; i < 6; ++i) {
+      const float value = base + static_cast<float>(i);
+      ASSERT_EQ(api.copy_in(buf.value(), std::vector<float>(kFloats, value)), Status::Ok);
+      ASSERT_EQ(api.launch("addone", {{4, 1, 1}, {256, 1, 1}},
+                           {sim::KernelArg::dev(buf.value())}),
+                Status::Ok);
+      std::vector<float> out(kFloats);
+      ASSERT_EQ(api.copy_out(out, buf.value()), Status::Ok);
+      for (float v : out) ASSERT_EQ(v, value + 1.0f);
+    }
+  };
+  {
+    // Declared before the hold so the hold is released before the joins.
+    std::vector<vt::Thread> threads;
+    vt::HoldGuard hold(dom_);
+    threads.emplace_back(dom_, [&] { worker(thread_a, 10.0f); });
+    threads.emplace_back(dom_, [&] { worker(thread_b, 100.0f); });
+  }
+  EXPECT_GT(runtime_->stats().dispatch_lock_contended, 0u);
+}
+
 // ---- Pitched / 2D memory API -----------------------------------------------
 
 class Memcpy2DTest : public ::testing::TestWithParam<bool> {};

@@ -21,6 +21,10 @@
 #include "obs/trace.hpp"
 #include "sim/machine.hpp"
 
+// GCC flags every delete of memory from the replacement operator new below
+// as mismatched, but both sides are malloc/free-backed.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
 // ---- allocation counting (for the disabled-path test) ----------------------
 // Replacement global operator new that counts allocations while armed. The
 // disabled trace path promises "one relaxed load and a branch" -- zero

@@ -106,6 +106,46 @@ TEST_F(ProtocolTest, MalformedLengthPrefixInH2DIsSafe) {
   EXPECT_EQ(call(*ch, Opcode::MemcpyH2D, w.take()), Status::ErrorProtocol);
 }
 
+TEST_F(ProtocolTest, HugeCountsAndSizesGetErrorReplies) {
+  // Each frame once killed the daemon: a count or size far beyond the
+  // payload was allocated before any bounds check.
+  auto ch = connect_raw();
+  constexpr u64 kHuge = 1ull << 62;
+  WireWriter alloc;
+  alloc.put<u64>(64);
+  Message msg;
+  msg.op = Opcode::Malloc;
+  msg.payload = alloc.take();
+  ASSERT_TRUE(ch->send(std::move(msg)));
+  auto reply = ch->receive();
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(transport::reply_status(*reply), Status::Ok);
+  WireReader ptr_reader(transport::reply_payload(*reply));
+  const u64 ptr = ptr_reader.get<u64>();
+  ASSERT_TRUE(ptr_reader.ok());
+
+  WireWriter launch;
+  launch.put_string("addone");
+  launch.put(sim::LaunchConfig{});
+  launch.put<u64>(kHuge);  // argc
+  EXPECT_EQ(call(*ch, Opcode::Launch, launch.take()), Status::ErrorProtocol);
+
+  WireWriter nested;
+  nested.put<u64>(ptr);    // parent
+  nested.put<u64>(kHuge);  // reference count
+  EXPECT_EQ(call(*ch, Opcode::RegisterNested, nested.take()), Status::ErrorProtocol);
+
+  WireWriter d2h;
+  d2h.put<u64>(ptr);
+  d2h.put<u64>(kHuge);  // size
+  EXPECT_EQ(call(*ch, Opcode::MemcpyD2H, d2h.take()), Status::ErrorSwapSizeMismatch);
+
+  // The daemon survived, and the connection still serves.
+  WireWriter w;
+  w.put<u64>(64);
+  EXPECT_EQ(call(*ch, Opcode::Malloc, w.take()), Status::Ok);
+}
+
 TEST_F(ProtocolTest, SetupArgumentWithoutConfigureRejected) {
   auto ch = connect_raw();
   WireWriter w;

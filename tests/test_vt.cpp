@@ -1,6 +1,7 @@
 // Tests for the virtual-time threading substrate (common/vt.hpp): the
-// quiescence clock under both sleeper-queue engines, the calendar queue
-// itself, the cancellable Alarm, and the ScaledReal cross-check.
+// quiescence clock, the calendar queue behind it (checked against a
+// std::multimap reference), the cancellable Alarm, and the ScaledReal
+// cross-check.
 #include "common/vt.hpp"
 
 #include <gtest/gtest.h>
@@ -371,7 +372,7 @@ TEST(VtDomain, ScaledRealModeMatchesVirtualOrdering) {
 }
 
 // ---------------------------------------------------------------------------
-// CalendarQueue: the two-level timer wheel behind the fast-path engines.
+// CalendarQueue: the two-level timer wheel behind the Domain and TaskRunner.
 
 TEST(CalendarQueue, PopDueSortsByDeadlineThenInsertionOrder) {
   CalendarQueue<int> q(/*bucket_width_ns=*/100, /*buckets=*/16);
@@ -482,25 +483,12 @@ TEST(CalendarQueue, MatchesMultimapReferenceOnRandomOps) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine selection and parity: every clock behavior must hold under both the
-// calendar fast path and the legacy multimap baseline.
+// The Domain's calendar sleeper queue across its ring horizon.
 
-TEST(VtEngineSelect, ParseNames) {
-  EXPECT_EQ(Domain::parse_engine("calendar"), Domain::Engine::Calendar);
-  EXPECT_EQ(Domain::parse_engine("legacy"), Domain::Engine::Legacy);
-  EXPECT_EQ(Domain::parse_engine("multimap"), Domain::Engine::Legacy);
-  EXPECT_FALSE(Domain::parse_engine("bogus").has_value());
-  EXPECT_FALSE(Domain::parse_engine("").has_value());
-  EXPECT_STREQ(Domain::engine_name(Domain::Engine::Calendar), "calendar");
-  EXPECT_STREQ(Domain::engine_name(Domain::Engine::Legacy), "legacy");
-}
-
-class VtEngineParity : public ::testing::TestWithParam<Domain::Engine> {};
-
-TEST_P(VtEngineParity, SleepsSpanningWheelHorizonWakeInOrder) {
-  // Durations straddle the calendar's ~67ms ring horizon, so the calendar
-  // engine exercises overflow parking + migration while legacy just sorts.
-  Domain dom(Mode::Virtual, 1e-3, GetParam());
+TEST(VtDomain, SleepsSpanningWheelHorizonWakeInOrder) {
+  // Durations straddle the calendar's ~67ms ring horizon, so the sleeper
+  // queue exercises overflow parking + migration.
+  Domain dom;
   const double millis[] = {100.0, 1.0, 500.0, 0.01, 67.0, 200.0, 3.5, 1000.0};
   std::mutex mu;
   std::vector<double> order;
@@ -521,8 +509,8 @@ TEST_P(VtEngineParity, SleepsSpanningWheelHorizonWakeInOrder) {
   EXPECT_EQ(dom.now(), from_millis(1000.0));
 }
 
-TEST_P(VtEngineParity, ClockStatsCountAdvancesAndWakes) {
-  Domain dom(Mode::Virtual, 1e-3, GetParam());
+TEST(VtDomain, ClockStatsCountAdvancesAndWakes) {
+  Domain dom;
   AttachGuard guard(dom);
   for (int i = 0; i < 5; ++i) dom.sleep_for(from_millis(1));
   const Domain::ClockStats stats = dom.clock_stats();
@@ -531,10 +519,10 @@ TEST_P(VtEngineParity, ClockStatsCountAdvancesAndWakes) {
   EXPECT_EQ(stats.sleepers_peak, 1u);
 }
 
-TEST_P(VtEngineParity, StressManyThreadsHorizonCrossingSleeps) {
+TEST(VtDomain, StressManyThreadsHorizonCrossingSleeps) {
   // TSan target: concurrent sleeps whose durations are scattered across the
   // wheel ring, the overflow map, and same-instant collisions.
-  Domain dom(Mode::Virtual, 1e-3, GetParam());
+  Domain dom;
   std::atomic<int> completed{0};
   {
     std::vector<Thread> threads;
@@ -558,10 +546,6 @@ TEST_P(VtEngineParity, StressManyThreadsHorizonCrossingSleeps) {
   EXPECT_GE(stats.events_dispatched, 12u * 40u);
   EXPECT_GE(stats.sleepers_peak, 1u);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothEngines, VtEngineParity,
-                         ::testing::Values(Domain::Engine::Calendar, Domain::Engine::Legacy),
-                         [](const auto& info) { return Domain::engine_name(info.param); });
 
 // ---------------------------------------------------------------------------
 // Alarm: the cancellable one-shot deadline the TaskRunner pump parks on.

@@ -85,6 +85,13 @@ TEST(Wire, MaliciousLengthPrefixDoesNotOverread) {
   auto bytes = r.get_bytes();
   EXPECT_TRUE(bytes.empty());
   EXPECT_FALSE(r.ok());
+
+  // An element count whose byte size wraps to 0 (2^61 * 8 = 2^64).
+  WireWriter wrap;
+  wrap.put<u64>(1ull << 61);
+  WireReader wr(wrap.bytes());
+  EXPECT_TRUE(wr.get_vector<double>().empty());
+  EXPECT_FALSE(wr.ok());
 }
 
 TEST(Wire, EmptyReaderFailsGracefully) {
