@@ -68,7 +68,7 @@ class Cluster {
                                transport::ChannelCosts::cluster_link(),
                            bool hold_clock = false);
 
-  /// Tears the subscriptions down (collectors joined, channels closed).
+  /// Tears the subscriptions down (channels closed, sinks detached).
   /// Must run before draining or destroying the node runtimes when load
   /// reports were enabled -- an open subscription holds a connection open.
   void stop_load_reports();

@@ -1,6 +1,8 @@
 #include "cluster/node_directory.hpp"
 
+#include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "common/log.hpp"
 #include "core/scheduler.hpp"
@@ -94,53 +96,76 @@ void NodeDirectory::watch(Node& node, transport::ChannelCosts costs) {
     std::scoped_lock lock(mu_);
     entries_[node.id().value] = std::move(entry);
   }
-  collectors_.emplace_back(*dom_, [this, id = node.id(), channel] {
-    collector_loop(id, channel);
-  });
+  // From here on the daemon's pump hands each report to deliver() itself.
+  const NodeId id = node.id();
+  if (!channel->set_sink([this, id](Message report, vt::TimePoint at) {
+        deliver(id, std::move(report), at);
+      })) {
+    // No sink on this channel: watch blind, as for a v2 peer.
+    channel->close();
+    Entry blind;
+    blind.node = &node;
+    std::scoped_lock lock(mu_);
+    entries_[id.value] = std::move(blind);
+  }
 }
 
-void NodeDirectory::collector_loop(NodeId id,
-                                   std::shared_ptr<transport::MessageChannel> channel) {
-  while (auto msg = channel->receive()) {
-    if (msg->op != Opcode::LoadReport) continue;
-    auto load = transport::decode_load(msg->payload);
-    if (!load) continue;
-    std::scoped_lock lock(mu_);
-    auto it = entries_.find(id.value);
-    if (it == entries_.end()) return;
-    Entry& entry = it->second;
-    if (entry.has_load && load->seq != 0 && load->seq <= entry.last.seq) {
+void NodeDirectory::deliver(NodeId id, Message msg, vt::TimePoint at) {
+  if (msg.op != Opcode::LoadReport) return;
+  auto load = transport::decode_load(msg.payload);
+  if (!load) return;
+  std::scoped_lock lock(mu_);
+  auto it = entries_.find(id.value);
+  if (it == entries_.end()) return;
+  Entry& entry = it->second;
+  fold_locked(entry);
+  // Reports become visible in send order, as they would to one receiver
+  // sleeping until each delivery instant in turn.
+  if (!entry.in_flight.empty()) at = std::max(at, entry.in_flight.back().at);
+  entry.in_flight.push_back(InFlight{std::move(load.value()), at});
+}
+
+void NodeDirectory::fold_locked(Entry& e) const {
+  const vt::TimePoint now = dom_->now();
+  while (!e.in_flight.empty() && e.in_flight.front().at <= now) {
+    InFlight& report = e.in_flight.front();
+    if (e.has_load && report.snapshot.seq != 0 && report.snapshot.seq <= e.last.seq) {
       // Heartbeats are ordered on one channel; a non-advancing seq would
       // mean a daemon restart mid-subscription. Count, keep the newer view.
       stale_reports_counter().add(1);
-      continue;
+    } else {
+      e.has_load = true;
+      e.last = std::move(report.snapshot);
+      e.last_report = report.at;
+      ++e.reports;
     }
-    entry.has_load = true;
-    entry.last = std::move(load.value());
-    entry.last_report = dom_->now();
-    ++entry.reports;
+    e.in_flight.pop_front();
   }
 }
 
 void NodeDirectory::stop() {
-  std::vector<vt::Thread> collectors;
+  std::vector<std::shared_ptr<transport::MessageChannel>> channels;
   {
     std::scoped_lock lock(mu_);
     if (stopped_) return;
     stopped_ = true;
-    // Closing the client ends wakes the collectors (receive returns
-    // nullopt) and lets the daemon-side heartbeat pumps exit.
     for (auto& [id, entry] : entries_) {
-      if (entry.channel != nullptr) entry.channel->close();
+      if (entry.channel != nullptr) channels.push_back(entry.channel);
     }
-    collectors.swap(collectors_);
   }
-  collectors.clear();  // vt::Thread dtors join
+  // Outside mu_: detaching waits for a delivery in progress, which takes
+  // mu_. Closing the client ends lets the daemon-side heartbeat pumps exit.
+  for (const auto& channel : channels) {
+    channel->close();
+    channel->set_sink({});
+  }
 }
 
 const NodeDirectory::Entry* NodeDirectory::entry_locked(NodeId id) const {
   const auto it = entries_.find(id.value);
-  return it != entries_.end() ? &it->second : nullptr;
+  if (it == entries_.end()) return nullptr;
+  fold_locked(it->second);
+  return &it->second;
 }
 
 bool NodeDirectory::suspect_locked(const Entry& e) const {
@@ -200,7 +225,8 @@ Node* NodeDirectory::pick_offload_target(NodeId self, double self_score) {
   }
   Node* best = nullptr;
   double best_score = std::numeric_limits<double>::infinity();
-  for (const auto& [id, entry] : entries_) {
+  for (auto& [id, entry] : entries_) {
+    fold_locked(entry);
     if (id == self.value || entry.node == nullptr) continue;
     if (suspect_locked(entry) || dark_locked(entry)) continue;
     // Candidates without load data (v2 peers) are skipped for offload:

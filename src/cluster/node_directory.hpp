@@ -4,8 +4,11 @@
 // directory opens a client channel to each node daemon, performs the
 // protocol handshake, and -- when the peer negotiated caps::kQueryLoad --
 // subscribes to periodic LoadReport pushes, each stamped with the daemon's
-// virtual time. A collector thread per subscription folds the reports into
-// the entry table.
+// virtual time. The directory runs no thread of its own: the daemon's pump
+// hands each report to a channel sink (MessageChannel::set_sink) at its
+// send instant, stamped with its modeled delivery instant, and every reader
+// first folds the reports whose delivery instant has passed. Lock order:
+// the channel's sink mutex, then mu_.
 //
 // Consumers:
 //   - TorqueScheduler dispatch policies rank candidates by LoadSnapshot
@@ -25,11 +28,11 @@
 // back to round-robin behaviour for them.
 #pragma once
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <vector>
 
 #include "cluster/node.hpp"
 #include "common/tuning.hpp"
@@ -74,14 +77,15 @@ class NodeDirectory {
   NodeDirectory& operator=(const NodeDirectory&) = delete;
 
   /// Starts watching a node: handshake, and -- if the peer speaks
-  /// caps::kQueryLoad -- a heartbeat subscription plus collector thread.
-  /// Peers without the capability are recorded as unsubscribed (still
-  /// dispatchable, no load data). Call once per node, from one thread.
+  /// caps::kQueryLoad -- a heartbeat subscription delivered through the
+  /// channel's sink. Peers without the capability (or a channel that takes
+  /// no sink) are recorded as unsubscribed (still dispatchable, no load
+  /// data). Call once per node, from one thread.
   void watch(Node& node, transport::ChannelCosts costs);
 
-  /// Closes every subscription channel and joins the collectors. Idempotent.
-  /// Must run before the watched runtimes drain or shut down: an open
-  /// subscription holds a daemon connection open.
+  /// Closes every subscription channel and detaches its sink, waiting for a
+  /// delivery in progress. Idempotent. Must run before the watched runtimes
+  /// drain or shut down: an open subscription holds a daemon connection open.
   void stop();
 
   /// Subscribed and the last report is older than
@@ -107,17 +111,28 @@ class NodeDirectory {
   const DirectoryConfig& config() const { return config_; }
 
  private:
+  /// A report sent but not yet visible: `at` is its delivery instant.
+  struct InFlight {
+    transport::LoadSnapshot snapshot;
+    vt::TimePoint at{0};
+  };
+
   struct Entry {
     Node* node = nullptr;
     bool subscribed = false;
     bool has_load = false;
     transport::LoadSnapshot last;
-    vt::TimePoint last_report{0};
+    vt::TimePoint last_report{0};  ///< delivery instant of `last`
     u64 reports = 0;
+    std::deque<InFlight> in_flight;  ///< in delivery order
     std::shared_ptr<transport::MessageChannel> channel;
   };
 
-  void collector_loop(NodeId id, std::shared_ptr<transport::MessageChannel> channel);
+  /// The subscription sink, on the daemon's pump thread.
+  void deliver(NodeId id, transport::Message msg, vt::TimePoint at);
+  /// Folds the reports of `e` whose delivery instant has passed.
+  void fold_locked(Entry& e) const;
+  /// The entry for `id`, folded; nullptr when unwatched.
   const Entry* entry_locked(NodeId id) const;
   bool suspect_locked(const Entry& e) const;
   bool dark_locked(const Entry& e) const;
@@ -126,8 +141,9 @@ class NodeDirectory {
   DirectoryConfig config_;
 
   mutable std::mutex mu_;
-  std::map<u64, Entry> entries_;  // by NodeId::value (stable iteration order)
-  std::vector<vt::Thread> collectors_;
+  /// By NodeId::value (stable iteration order). Mutable: const readers
+  /// fold delivered reports in before they read.
+  mutable std::map<u64, Entry> entries_;
   bool stopped_ = false;
 };
 

@@ -98,8 +98,16 @@ class Pipe {
     }
     std::unique_lock lk(mu_);
     if (closed_) return false;
-    items_.push_back(Entry{std::move(msg), dom_->now(), dom_->now() + transit});
-    cv_.notify_one();
+    if (!has_sink_) {
+      items_.push_back(Entry{std::move(msg), dom_->now(), dom_->now() + transit});
+      cv_.notify_one();
+      return true;
+    }
+    const vt::TimePoint now = dom_->now();
+    lk.unlock();
+    std::scoped_lock sink_lock(sink_mu_);
+    if (!sink_) return false;  // detached since the check above
+    to_sink(Entry{std::move(msg), now, now + transit});
     return true;
   }
 
@@ -112,11 +120,28 @@ class Pipe {
     lk.unlock();
     // Model transit: the message is visible only once its latency elapsed.
     dom_->sleep_until(entry.deliver_at);
-    // Stamped with the *receiving* thread's trace context: transit time is
-    // part of whichever causal chain consumes the message.
-    obs::emit_span("msg-transit", "transport", obs::kRuntimePid, trace_tid_, entry.sent_at,
-                   entry.deliver_at - entry.sent_at, 0, entry.msg.payload.size());
+    emit_transit(entry);
     return std::move(entry.msg);
+  }
+
+  /// MessageChannel::set_sink on this direction. sink_mu_ is held from the
+  /// attach through the backlog hand-off, so a send that finds the sink
+  /// attached waits until the backlog has reached it.
+  void set_sink(MessageChannel::Sink sink) {
+    std::scoped_lock sink_lock(sink_mu_);
+    std::deque<Entry> backlog;
+    {
+      std::unique_lock lk(mu_);
+      has_sink_ = static_cast<bool>(sink);
+      if (has_sink_) {
+        backlog.swap(items_);
+      } else {
+        closed_ = true;
+        cv_.notify_all();
+      }
+    }
+    sink_ = std::move(sink);
+    for (Entry& entry : backlog) to_sink(std::move(entry));
   }
 
   void close() {
@@ -151,6 +176,19 @@ class Pipe {
     return t;
   }
 
+  void emit_transit(const Entry& entry) const {
+    // Stamped with the consuming thread's trace context (the receiver, or
+    // the sender for a sink): transit time is part of whichever causal
+    // chain consumes the message.
+    obs::emit_span("msg-transit", "transport", obs::kRuntimePid, trace_tid_, entry.sent_at,
+                   entry.deliver_at - entry.sent_at, 0, entry.msg.payload.size());
+  }
+
+  void to_sink(Entry entry) {  // sink_mu_ held
+    emit_transit(entry);
+    sink_(std::move(entry.msg), entry.deliver_at);
+  }
+
   vt::Domain* dom_;
   ChannelCosts costs_;
   mutable std::mutex mu_;
@@ -159,6 +197,9 @@ class Pipe {
   std::atomic<u64> send_seq_{0};  // per-stream attempt counter (fault hashing)
   std::deque<Entry> items_;
   bool closed_ = false;
+  bool has_sink_ = false;  // guarded by mu_; sends then bypass items_
+  std::mutex sink_mu_;     // serializes sink calls against set_sink
+  MessageChannel::Sink sink_;  // guarded by sink_mu_
 };
 
 class LocalEndpoint : public MessageChannel {
@@ -179,6 +220,11 @@ class LocalEndpoint : public MessageChannel {
   bool closed() const override { return tx_->closed(); }
 
   bool pending() const override { return rx_->has_items(); }
+
+  bool set_sink(Sink sink) override {
+    rx_->set_sink(std::move(sink));
+    return true;
+  }
 
  private:
   std::shared_ptr<Pipe> tx_;

@@ -3,7 +3,9 @@
 // A MessageChannel is one endpoint of a connected pair. The in-process
 // implementation (make_local_pair) carries modeled latency and bandwidth so
 // that interception overhead (AF_UNIX hop, the paper's gVirtuS transport)
-// and inter-node links (TCP) cost virtual time like the real thing.
+// and inter-node links (TCP) cost virtual time like the real thing. Its
+// receiving side can also deliver through a sink callback (set_sink): a
+// consumer that only folds state then needs no thread of its own.
 #pragma once
 
 #include <atomic>
@@ -20,6 +22,10 @@ namespace gpuvm::transport {
 
 class MessageChannel {
  public:
+  /// Receives each incoming message on the *sending* thread, stamped with
+  /// the virtual instant the cost model delivers it at (see set_sink).
+  using Sink = std::function<void(Message msg, vt::TimePoint delivered_at)>;
+
   virtual ~MessageChannel() = default;
 
   /// Sends a message to the peer. Returns false if the channel is closed.
@@ -28,6 +34,21 @@ class MessageChannel {
   /// Blocks until a message arrives (nullopt when the peer closed and the
   /// queue is drained).
   virtual std::optional<Message> receive() = 0;
+
+  /// Hands incoming messages to `sink` instead of queueing them for
+  /// receive(). Contract:
+  ///   - the peer's send() calls the sink itself, after fault injection,
+  ///     outside the channel's queue lock, one call at a time; the sink must
+  ///     not block on virtual time and must not call back into the channel;
+  ///   - `delivered_at` = send instant + latency + payload / bandwidth (+ the
+  ///     FaultInjector's extra delay while degraded) -- possibly in the
+  ///     future: the consumer decides when the message becomes visible;
+  ///   - messages already queued when the sink attaches are handed to it
+  ///     first, in order, before set_sink returns;
+  ///   - an empty sink detaches: it waits for a call in progress to finish
+  ///     and closes this direction, so later sends return false.
+  /// Returns false when the channel cannot deliver to a sink (the default).
+  virtual bool set_sink(Sink /*sink*/) { return false; }
 
   /// Closes both directions; blocked receivers wake.
   virtual void close() = 0;

@@ -188,7 +188,7 @@ StatusOr<LoadSnapshot> decode_load(std::span<const u8> payload) {
   load.active_contexts = r.get<i32>();
   load.vgpu_count = r.get<i32>();
   load.queue_wait_p50_seconds = r.get<double>();
-  const u64 devices = r.get<u64>();
+  const u64 devices = r.get_count(3 * sizeof(u64) + 2 * sizeof(i32));
   if (!r.ok() || devices > (1u << 16)) return Status::ErrorProtocol;
   load.devices.reserve(devices);
   for (u64 i = 0; i < devices; ++i) {
@@ -203,7 +203,7 @@ StatusOr<LoadSnapshot> decode_load(std::span<const u8> payload) {
   if (!r.ok()) return Status::ErrorProtocol;
   // Optional trailing tenant table (absent from pre-trace daemons).
   if (r.remaining() > 0) {
-    const u64 tenants = r.get<u64>();
+    const u64 tenants = r.get_count(sizeof(u64) + sizeof(i32));
     if (!r.ok() || tenants > (1u << 20)) return Status::ErrorProtocol;
     load.tenants.reserve(tenants);
     for (u64 i = 0; i < tenants; ++i) {
@@ -278,7 +278,7 @@ StatusOr<MigrateResumePayload> decode_migrate_resume(std::span<const u8> payload
   auto delta = r.get_bytes();
   if (!r.ok()) return Status::ErrorProtocol;
   resume.delta.assign(delta.begin(), delta.end());
-  const u64 functions = r.get<u64>();
+  const u64 functions = r.get_count(2 * sizeof(u64));  // handle + name length
   if (!r.ok() || functions > (1u << 20)) return Status::ErrorProtocol;
   resume.functions.reserve(functions);
   for (u64 i = 0; i < functions; ++i) {
@@ -287,7 +287,7 @@ StatusOr<MigrateResumePayload> decode_migrate_resume(std::span<const u8> payload
     fn.name = r.get_string();
     resume.functions.push_back(std::move(fn));
   }
-  const u64 modules = r.get<u64>();
+  const u64 modules = r.get_count(sizeof(u64));
   if (!r.ok() || modules > (1u << 20)) return Status::ErrorProtocol;
   resume.modules.reserve(modules);
   for (u64 i = 0; i < modules; ++i) resume.modules.push_back(r.get<u64>());
@@ -298,7 +298,7 @@ StatusOr<MigrateResumePayload> decode_migrate_resume(std::span<const u8> payload
   auto config = r.get_bytes();
   if (!r.ok()) return Status::ErrorProtocol;
   resume.pending_config.assign(config.begin(), config.end());
-  const u64 args = r.get<u64>();
+  const u64 args = r.get_count(sizeof(u8) + sizeof(u64));
   if (!r.ok() || args > (1u << 16)) return Status::ErrorProtocol;
   resume.pending_args.reserve(args);
   for (u64 i = 0; i < args; ++i) {

@@ -93,6 +93,49 @@ TEST_F(ClusterLbTest, HeartbeatsFlowIntoTheDirectory) {
   cluster.stop_load_reports();
 }
 
+TEST_F(ClusterLbTest, EachSubscriptionCostsOneDaemonThreadAndNoHeadThread) {
+  Cluster cluster = make_cluster(two_test_nodes(), 2);
+  const int before = dom_.attached_threads();
+  cluster.enable_load_reports(fast_directory());
+  // One connection thread per node runs its heartbeat pump; the directory
+  // folds the reports at delivery and runs no thread of its own.
+  EXPECT_EQ(dom_.attached_threads(), before + static_cast<int>(cluster.size()));
+  cluster.stop_load_reports();
+}
+
+TEST_F(ClusterLbTest, ReportTurnsVisibleExactlyAtItsDeliveryInstant) {
+  Cluster cluster = make_cluster(two_test_nodes(), 2);
+  const DirectoryConfig config = fast_directory();
+  cluster.enable_load_reports(config);  // over ChannelCosts::cluster_link()
+  NodeDirectory* dir = cluster.directory();
+  const NodeId b = cluster.node(1).id();
+  dom_.sleep_for(vt::from_millis(1.0));
+
+  const auto last = dir->snapshot_of(b);
+  ASSERT_TRUE(last.has_value());
+  const u64 count = dir->report_count(b);
+  // The idle node's next heartbeat leaves one interval after this one and
+  // carries a snapshot of the same size.
+  const transport::ChannelCosts link = transport::ChannelCosts::cluster_link();
+  const vt::Duration transit =
+      link.latency + vt::from_seconds(static_cast<double>(transport::encode_load(*last).size()) /
+                                      (link.bandwidth_gbps * 1e9));
+  const vt::TimePoint next_at = vt::TimePoint{last->vt_ns} + config.heartbeat_interval + transit;
+  ASSERT_GT(next_at - vt::Duration{1}, dom_.now());
+
+  dom_.sleep_until(next_at - vt::Duration{1});
+  EXPECT_EQ(dir->report_count(b), count);
+  EXPECT_EQ(dir->snapshot_of(b)->seq, last->seq);
+
+  dom_.sleep_until(next_at);
+  EXPECT_EQ(dir->report_count(b), count + 1);
+  const auto next = dir->snapshot_of(b);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->seq, last->seq + 1);
+  EXPECT_EQ(next->vt_ns, last->vt_ns + config.heartbeat_interval.count());
+  cluster.stop_load_reports();
+}
+
 TEST_F(ClusterLbTest, BrokenHeartbeatLinkTurnsNodeSuspect) {
   Cluster cluster = make_cluster(two_test_nodes(), 2);
   cluster.enable_load_reports(fast_directory());

@@ -140,6 +140,13 @@ TEST_F(ProtocolTest, HugeCountsAndSizesGetErrorReplies) {
   d2h.put<u64>(kHuge);  // size
   EXPECT_EQ(call(*ch, Opcode::MemcpyD2H, d2h.take()), Status::ErrorSwapSizeMismatch);
 
+  // 16 bytes claiming 2^20 functions: within the decoder's cap, but not
+  // within the frame, so nothing is reserved for them.
+  WireWriter resume;
+  resume.put_bytes({});      // empty delta
+  resume.put<u64>(1u << 20);  // function count
+  EXPECT_EQ(call(*ch, Opcode::MigrateResume, resume.take()), Status::ErrorProtocol);
+
   // The daemon survived, and the connection still serves.
   WireWriter w;
   w.put<u64>(64);

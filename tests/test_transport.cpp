@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/queue.hpp"
@@ -66,6 +69,63 @@ TEST(Framing, ReplyHelpersRoundTripStatus) {
   EXPECT_EQ(reply_status(reply), Status::ErrorMemoryAllocation);
   WireReader r(reply_payload(reply));
   EXPECT_EQ(r.get<u64>(), 0xabcdu);
+}
+
+TEST(LoadCodec, RoundTripsTruncatesAndRejectsHostileCounts) {
+  LoadSnapshot load;
+  load.node = 2;
+  load.seq = 17;
+  load.vt_ns = 123456;
+  load.pending_contexts = 3;
+  load.bound_contexts = 2;
+  load.active_contexts = 5;
+  load.vgpu_count = 4;
+  load.queue_wait_p50_seconds = 0.25;
+  load.devices = {{1, 100, 300, 2, 1}, {2, 50, 300, 2, 1}};
+  load.tenants = {{7, 1}, {9, 2}};
+  const std::vector<u8> payload = encode_load(load);
+
+  auto back = decode_load(payload);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->node, 2u);
+  EXPECT_EQ(back->seq, 17u);
+  EXPECT_EQ(back->vt_ns, 123456);
+  EXPECT_EQ(back->pending_contexts, 3);
+  EXPECT_EQ(back->bound_contexts, 2);
+  EXPECT_EQ(back->active_contexts, 5);
+  EXPECT_EQ(back->vgpu_count, 4);
+  EXPECT_EQ(back->queue_wait_p50_seconds, 0.25);
+  ASSERT_EQ(back->devices.size(), 2u);
+  EXPECT_EQ(back->devices[1].gpu, 2u);
+  EXPECT_EQ(back->devices[1].free_bytes, 50u);
+  EXPECT_EQ(back->devices[1].total_bytes, 300u);
+  EXPECT_EQ(back->devices[1].vgpus, 2);
+  EXPECT_EQ(back->devices[1].bound, 1);
+  ASSERT_EQ(back->tenants.size(), 2u);
+  EXPECT_EQ(back->tenants[1].ctx, 9u);
+  EXPECT_EQ(back->tenants[1].state, 2);
+
+  // Layout: 48-byte header, device count, 32 bytes per device, tenant
+  // count, 12 bytes per tenant.
+  constexpr size_t kDeviceCountAt = 48;
+  const size_t tenant_count_at = kDeviceCountAt + 8 + 2 * 32;
+  ASSERT_EQ(payload.size(), tenant_count_at + 8 + 2 * 12);
+
+  // A daemon that predates the tenant table stops after the devices.
+  auto old = decode_load(std::span<const u8>(payload).first(tenant_count_at));
+  ASSERT_TRUE(old.has_value());
+  EXPECT_EQ(old->devices.size(), 2u);
+  EXPECT_TRUE(old->tenants.empty());
+
+  // Counts within the decoder's caps but beyond the frame are rejected.
+  const auto with_count = [&](size_t at, u64 count) {
+    std::vector<u8> hostile = payload;
+    std::memcpy(hostile.data() + at, &count, sizeof(count));
+    return decode_load(hostile).status();
+  };
+  EXPECT_EQ(with_count(kDeviceCountAt, 1u << 16), Status::ErrorProtocol);
+  EXPECT_EQ(with_count(tenant_count_at, 1u << 20), Status::ErrorProtocol);
+  EXPECT_EQ(with_count(tenant_count_at, 3), Status::ErrorProtocol);
 }
 
 TEST(LocalChannel, BidirectionalSendReceive) {
@@ -166,6 +226,52 @@ TEST(LocalChannel, ManyMessagesKeepOrder) {
   }
   ASSERT_EQ(seen.size(), 500u);
   for (u64 i = 0; i < 500; ++i) EXPECT_EQ(seen[i], i);
+}
+
+TEST(LocalChannel, SinkGetsEachMessageStampedWithItsDeliveryInstant) {
+  vt::Domain dom;
+  vt::AttachGuard attach(dom);
+  const ChannelCosts costs = ChannelCosts::cluster_link();
+  auto [a, b] = make_local_pair(dom, costs);
+  const auto transit = [&](size_t bytes) {
+    return costs.latency +
+           vt::from_seconds(static_cast<double>(bytes) / (costs.bandwidth_gbps * 1e9));
+  };
+
+  // Queued before the sink attaches: handed over first, in order.
+  ASSERT_TRUE(a->send(make_msg(Opcode::LoadReport, 1, std::vector<u8>(1000, 0))));
+  dom.sleep_for(vt::from_micros(10));
+  ASSERT_TRUE(a->send(make_msg(Opcode::LoadReport, 2)));
+  std::vector<std::pair<u64, vt::TimePoint>> got;
+  ASSERT_TRUE(b->set_sink([&](Message msg, vt::TimePoint at) {
+    got.emplace_back(msg.connection.value, at);
+  }));
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0], std::make_pair(u64{1}, transit(1000)));
+  EXPECT_EQ(got[1], std::make_pair(u64{2}, vt::from_micros(10) + transit(0)));
+
+  // Later sends reach the sink on the sending thread, at the send instant:
+  // the clock has not moved when send returns.
+  dom.sleep_for(vt::from_micros(500));
+  const vt::TimePoint sent_at = dom.now();
+  ASSERT_TRUE(a->send(make_msg(Opcode::LoadReport, 3, std::vector<u8>(4096, 0))));
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[2], std::make_pair(u64{3}, sent_at + transit(4096)));
+  EXPECT_EQ(dom.now(), sent_at);
+
+  {  // A degraded wire adds its extra delay.
+    ScopedFaultInjector chaos(/*seed=*/5);
+    chaos.injector().degrade(/*drop_rate=*/0.0, vt::from_micros(40));
+    ASSERT_TRUE(a->send(make_msg(Opcode::LoadReport, 4)));
+  }
+  ASSERT_EQ(got.size(), 4u);
+  EXPECT_EQ(got[3], std::make_pair(u64{4}, sent_at + transit(0) + vt::from_micros(40)));
+  EXPECT_FALSE(b->pending());
+
+  // Detached: the direction is closed and nothing more reaches the sink.
+  ASSERT_TRUE(b->set_sink({}));
+  EXPECT_FALSE(a->send(make_msg(Opcode::LoadReport, 5)));
+  EXPECT_EQ(got.size(), 4u);
 }
 
 class UnixSocketTest : public ::testing::Test {
