@@ -1109,6 +1109,9 @@ constexpr u32 kImageVersion = 3;
 // metadata + only the byte ranges mutated since the previous round.
 constexpr u32 kDeltaMagic = 0x6c646d67;  // "gmdl"
 constexpr u32 kDeltaVersion = 1;
+
+bool valid_entry_type(u8 raw) { return raw <= static_cast<u8>(EntryType::Pitched); }
+
 }  // namespace
 
 StatusOr<std::vector<u8>> MemoryManager::export_image(ContextId ctx) {
@@ -1158,7 +1161,9 @@ Status MemoryManager::import_image(ContextId ctx, std::span<const u8> image) {
     auto pte = std::make_unique<PageTableEntry>();
     pte->virtual_ptr = r.get<u64>();
     pte->size = r.get<u64>();
-    pte->type = static_cast<EntryType>(r.get<u8>());
+    const u8 type = r.get<u8>();
+    if (!valid_entry_type(type)) return Status::ErrorCheckpointNotFound;
+    pte->type = static_cast<EntryType>(type);
     pte->is_nested_member = r.get<u8>() != 0;
     const u64 refs = r.get<u64>();
     for (u64 j = 0; j < refs && r.ok(); ++j) {
@@ -1330,9 +1335,9 @@ Status MemoryManager::apply_migration_delta(ContextId ctx, std::span<const u8> d
   for (u64 i = 0; i < count && r.ok(); ++i) {
     const VirtualPtr vptr = r.get<u64>();
     const u64 size = r.get<u64>();
-    const auto type = static_cast<EntryType>(r.get<u8>());
+    const u8 type = r.get<u8>();
     const bool is_nested_member = r.get<u8>() != 0;
-    if (!r.ok()) return Status::ErrorProtocol;
+    if (!r.ok() || !valid_entry_type(type)) return Status::ErrorProtocol;
 
     PageTableEntry* pte = nullptr;
     if (const auto it = mem->entries.find(vptr); it != mem->entries.end()) {
@@ -1351,7 +1356,7 @@ Status MemoryManager::apply_migration_delta(ContextId ctx, std::span<const u8> d
       mem->entries.emplace(vptr, std::move(fresh));
       mem->total_bytes.fetch_add(size, std::memory_order_relaxed);
     }
-    pte->type = type;
+    pte->type = static_cast<EntryType>(type);
     pte->is_nested_member = is_nested_member;
     const u64 refs = r.get<u64>();
     if (!r.ok() || refs > (1u << 20)) return Status::ErrorProtocol;

@@ -682,6 +682,9 @@ Status Runtime::apply_migrate_chunk(Context& ctx, const Message& msg) {
 Status Runtime::apply_migrate_resume(Context& ctx, const Message& msg) {
   auto resume = transport::decode_migrate_resume(msg.payload);
   if (!resume) return resume.status();
+  for (const transport::MigrateArg& arg : resume->pending_args) {
+    if (!sim::KernelArg::valid_kind(arg.kind)) return Status::ErrorProtocol;
+  }
   if (!resume->delta.empty()) {
     const Status s = mm_->apply_migration_delta(ctx.id, resume->delta);
     if (!ok(s)) return s;
@@ -1113,10 +1116,11 @@ Message Runtime::handle(Context& ctx, transport::MessageChannel& channel, const 
     }
     case Opcode::SetupArgument: {
       if (!ctx.pending_config.has_value()) return reply(Status::ErrorInvalidConfiguration);
+      const u8 kind = r.get<u8>();
       sim::KernelArg arg;
-      arg.kind = static_cast<sim::KernelArg::Kind>(r.get<u8>());
       arg.bits = r.get<u64>();
-      if (!r.ok()) return reply(Status::ErrorProtocol);
+      if (!r.ok() || !sim::KernelArg::valid_kind(kind)) return reply(Status::ErrorProtocol);
+      arg.kind = static_cast<sim::KernelArg::Kind>(kind);
       ctx.pending_args.push_back(arg);
       return reply(Status::Ok);
     }
@@ -1127,8 +1131,10 @@ Message Runtime::handle(Context& ctx, transport::MessageChannel& channel, const 
       std::vector<sim::KernelArg> args;
       args.reserve(argc);
       for (u64 i = 0; i < argc && r.ok(); ++i) {
+        const u8 kind = r.get<u8>();
+        if (!sim::KernelArg::valid_kind(kind)) return reply(Status::ErrorProtocol);
         sim::KernelArg arg;
-        arg.kind = static_cast<sim::KernelArg::Kind>(r.get<u8>());
+        arg.kind = static_cast<sim::KernelArg::Kind>(kind);
         arg.bits = r.get<u64>();
         args.push_back(arg);
       }

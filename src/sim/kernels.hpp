@@ -87,6 +87,9 @@ struct KernelArg {
     return a;
   }
 
+  /// A kind byte off the wire names one of the kinds above.
+  static bool valid_kind(u8 raw) { return raw <= static_cast<u8>(Kind::AccessHint); }
+
   /// Any device-pointer kind (read-only or written).
   bool is_dev_ptr() const { return kind == Kind::DevPtr || kind == Kind::DevPtrOut; }
   /// Annotated as written by the kernel.

@@ -8,6 +8,7 @@
 #include <numeric>
 
 #include "common/log.hpp"
+#include "workloads/kernel_loops.hpp"
 #include "workloads/workload.hpp"
 
 namespace gpuvm::workloads {
@@ -90,7 +91,7 @@ class VectorAdd final : public Workload {
       auto b = kc.buffer<float>(1);
       auto c = kc.buffer<float>(2);
       const u64 n = static_cast<u64>(kc.scalar_i64(3));
-      if (a.size() < n || b.size() < n || c.size() < n) return Status::ErrorLaunchFailure;
+      if (!holds(a, n) || !holds(b, n) || !holds(c, n)) return Status::ErrorLaunchFailure;
       for (u64 i = 0; i < n; ++i) c[i] = a[i] + b[i];
       return Status::Ok;
     };
@@ -160,7 +161,7 @@ class ScalarProduct final : public Workload {
       auto out = kc.buffer<float>(2);
       const u64 pairs = static_cast<u64>(kc.scalar_i64(3));
       const u64 len = static_cast<u64>(kc.scalar_i64(4));
-      if (a.size() < pairs * len || b.size() < pairs * len || out.size() < pairs) {
+      if (!holds(a, pairs, len) || !holds(b, pairs, len) || !holds(out, pairs)) {
         return Status::ErrorLaunchFailure;
       }
       for (u64 p = 0; p < pairs; ++p) {
@@ -242,7 +243,7 @@ class MatrixTranspose final : public Workload {
       auto in = kc.buffer<float>(0);
       auto out = kc.buffer<float>(1);
       const u64 n = static_cast<u64>(kc.scalar_i64(2));
-      if (in.size() < n * n || out.size() < n * n) return Status::ErrorLaunchFailure;
+      if (!holds(in, n, n) || !holds(out, n, n)) return Status::ErrorLaunchFailure;
       for (u64 r = 0; r < n; ++r) {
         for (u64 c = 0; c < n; ++c) out[c * n + r] = in[r * n + c];
       }
@@ -309,7 +310,7 @@ class ParallelReduction final : public Workload {
       auto in = kc.buffer<float>(0);
       auto out = kc.buffer<float>(1);
       const u64 n = static_cast<u64>(kc.scalar_i64(2));
-      if (in.size() < n || out.empty()) return Status::ErrorLaunchFailure;
+      if (!holds(in, n) || out.empty()) return Status::ErrorLaunchFailure;
       double acc = 0.0;
       for (u64 i = 0; i < n; ++i) acc += in[i];
       out[0] = static_cast<float>(acc);
@@ -374,7 +375,7 @@ class Scan final : public Workload {
       auto in = kc.buffer<float>(0);
       auto out = kc.buffer<float>(1);
       const u64 n = static_cast<u64>(kc.scalar_i64(2));
-      if (in.size() < n || out.size() < n) return Status::ErrorLaunchFailure;
+      if (!holds(in, n) || !holds(out, n)) return Status::ErrorLaunchFailure;
       float acc = 0.0f;
       for (u64 i = 0; i < n; ++i) {  // exclusive prefix sum
         out[i] = acc;
@@ -430,6 +431,8 @@ class Scan final : public Workload {
 // Shared kernel between BS-S (4M options) and BS-L (40M options).
 // ---------------------------------------------------------------------------
 
+// Scalar libm pricing: the independent reference every BS job checks the
+// kernel body's polynomial exp/log (bs_price_options) against.
 float bs_cnd(float d) {
   constexpr float a1 = 0.31938153f, a2 = -0.356563782f, a3 = 1.781477937f,
                   a4 = -1.821255978f, a5 = 1.330274429f;
@@ -469,12 +472,10 @@ class BlackScholes final : public Workload {
       auto call = kc.buffer<float>(3);
       auto put = kc.buffer<float>(4);
       const u64 n = static_cast<u64>(kc.scalar_i64(5));
-      if (s.size() < n || x.size() < n || t.size() < n || call.size() < n || put.size() < n) {
+      if (!holds(s, n) || !holds(x, n) || !holds(t, n) || !holds(call, n) || !holds(put, n)) {
         return Status::ErrorLaunchFailure;
       }
-      for (u64 i = 0; i < n; ++i) {
-        bs_price(s[i], x[i], t[i], 0.02f, 0.30f, &call[i], &put[i]);
-      }
+      bs_price_options(s.data(), x.data(), t.data(), call.data(), put.data(), n, 0.02f, 0.30f);
       return Status::Ok;
     };
     // Calibrated per option so BS-S (4M) lands at ~3.8 s and BS-L (40M) at
@@ -575,7 +576,7 @@ class BackPropagation final : public Workload {
       auto weights = kc.buffer<float>(1);
       auto hidden = kc.buffer<float>(2);
       const u64 in_n = static_cast<u64>(kc.scalar_i64(3));
-      if (input.size() < in_n || weights.size() < in_n * kHidden || hidden.size() < kHidden) {
+      if (!holds(input, in_n) || !holds(weights, in_n, kHidden) || !holds(hidden, kHidden)) {
         return Status::ErrorLaunchFailure;
       }
       for (u64 j = 0; j < kHidden; ++j) {
@@ -597,7 +598,7 @@ class BackPropagation final : public Workload {
       auto input = kc.buffer<float>(1);
       auto delta = kc.buffer<float>(2);
       const u64 in_n = static_cast<u64>(kc.scalar_i64(3));
-      if (weights.size() < in_n * kHidden || input.size() < in_n || delta.size() < kHidden) {
+      if (!holds(weights, in_n, kHidden) || !holds(input, in_n) || !holds(delta, kHidden)) {
         return Status::ErrorLaunchFailure;
       }
       for (u64 i = 0; i < in_n; ++i) {
@@ -694,13 +695,15 @@ class Bfs final : public Workload {
       auto levels = kc.buffer<i32>(1);
       const i64 n = kc.scalar_i64(2);
       const i64 level = kc.scalar_i64(3);
-      if (edges.size() < static_cast<u64>(3 * n) || levels.size() < static_cast<u64>(n)) {
+      if (n < 0 || !holds(edges, static_cast<u64>(n), 3) ||
+          !holds(levels, static_cast<u64>(n))) {
         return Status::ErrorLaunchFailure;
       }
       for (i64 u = 0; u < n; ++u) {
         if (levels[static_cast<u64>(u)] != level) continue;
         for (int e = 0; e < 3; ++e) {
           const i32 v = edges[static_cast<u64>(3 * u + e)];
+          if (v < 0 || v >= n) return Status::ErrorLaunchFailure;  // edge leaves the graph
           if (levels[static_cast<u64>(v)] < 0) levels[static_cast<u64>(v)] = level + 1;
         }
       }
@@ -784,7 +787,7 @@ class HotSpot final : public Workload {
       auto power = kc.buffer<float>(1);
       auto out = kc.buffer<float>(2);
       const u64 n = static_cast<u64>(kc.scalar_i64(3));  // grid is n x n
-      if (temp.size() < n * n || power.size() < n * n || out.size() < n * n) {
+      if (!holds(temp, n, n) || !holds(power, n, n) || !holds(out, n, n)) {
         return Status::ErrorLaunchFailure;
       }
       const auto at = [&](u64 r, u64 c) { return temp[r * n + c]; };
@@ -874,9 +877,10 @@ class NeedlemanWunsch final : public Workload {
       auto seq_b = kc.buffer<i32>(2);
       const i64 n = kc.scalar_i64(3);      // DP is (n+1) x (n+1)
       const i64 diag = kc.scalar_i64(4);   // anti-diagonal index (2..2n)
+      if (n < 0) return Status::ErrorLaunchFailure;
       const u64 stride = static_cast<u64>(n) + 1;
-      if (dp.size() < stride * stride || seq_a.size() < static_cast<u64>(n) ||
-          seq_b.size() < static_cast<u64>(n)) {
+      if (!holds(dp, stride, stride) || !holds(seq_a, static_cast<u64>(n)) ||
+          !holds(seq_b, static_cast<u64>(n))) {
         return Status::ErrorLaunchFailure;
       }
       if (diag < 2 || diag > 2 * n) return Status::Ok;  // padding call
@@ -1003,17 +1007,10 @@ class MatMul final : public Workload {
       auto b = kc.buffer<float>(1);
       auto c = kc.buffer<float>(2);
       const u64 n = static_cast<u64>(kc.scalar_i64(3));
-      if (a.size() < n * n || b.size() < n * n || c.size() < n * n) {
+      if (!holds(a, n, n) || !holds(b, n, n) || !holds(c, n, n)) {
         return Status::ErrorLaunchFailure;
       }
-      // ikj loop order for cache-friendliness on the scaled matrices.
-      std::fill(c.begin(), c.begin() + static_cast<long>(n * n), 0.0f);
-      for (u64 i = 0; i < n; ++i) {
-        for (u64 k = 0; k < n; ++k) {
-          const float aik = a[i * n + k];
-          for (u64 j = 0; j < n; ++j) c[i * n + j] += aik * b[k * n + j];
-        }
-      }
+      mm_matmul_square(a.data(), b.data(), c.data(), n);
       return Status::Ok;
     };
     // Cost: 2 n^3 FLOPs at the paper-scale n (arg 4), scaled by the

@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "workloads/kernel_loops.hpp"
 #include "workloads/workload.hpp"
 
 namespace gpuvm::workloads {
@@ -76,8 +77,8 @@ class KMeans final : public Workload {
       auto centroids = kc.buffer<float>(1);
       auto assign = kc.buffer<i32>(2);
       const u64 n = static_cast<u64>(kc.scalar_i64(3));
-      if (points.size() < n * kDims || centroids.size() < kClusters * kDims ||
-          assign.size() < n) {
+      if (!holds(points, n, kDims) || !holds(centroids, kClusters, kDims) ||
+          !holds(assign, n)) {
         return Status::ErrorLaunchFailure;
       }
       for (u64 p = 0; p < n; ++p) {
@@ -200,7 +201,7 @@ class Lud final : public Workload {
       auto a = kc.buffer<float>(0);
       const u64 n = static_cast<u64>(kc.scalar_i64(1));
       const u64 k = static_cast<u64>(kc.scalar_i64(2));
-      if (a.size() < n * n || k >= n) return k >= n ? Status::Ok : Status::ErrorLaunchFailure;
+      if (!holds(a, n, n) || k >= n) return k >= n ? Status::Ok : Status::ErrorLaunchFailure;
       const float pivot = a[k * n + k];
       if (std::fabs(pivot) < 1e-20f) return Status::Ok;  // diagonally dominant input
       for (u64 i = k + 1; i < n; ++i) {
@@ -313,7 +314,7 @@ class Srad final : public Workload {
       auto out = kc.buffer<float>(1);
       const u64 n = static_cast<u64>(kc.scalar_i64(2));
       const float lambda = static_cast<float>(kc.scalar_f64(3));
-      if (img.size() < n * n || out.size() < n * n) return Status::ErrorLaunchFailure;
+      if (!holds(img, n, n) || !holds(out, n, n)) return Status::ErrorLaunchFailure;
       for (u64 r = 0; r < n; ++r) {
         for (u64 c = 0; c < n; ++c) {
           const float center = img[r * n + c];

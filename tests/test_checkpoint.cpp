@@ -168,6 +168,36 @@ TEST_F(CheckpointTest, CorruptImagesRejected) {
   EXPECT_EQ(restore_context(*mm_, restored, truncated), Status::ErrorCheckpointNotFound);
 }
 
+TEST_F(CheckpointTest, UnknownEntryTypesRejected) {
+  // An entry's type byte is an EntryType (0 or 1). Images and migration
+  // deltas come off the wire, so any other byte is refused.
+  ContextId restored{2};
+  mm_->add_context(restored);
+  ASSERT_EQ(mm_->begin_migration(ctx_), Status::Ok);
+  auto p = mm_->on_malloc(ctx_, 64);
+  ASSERT_TRUE(p.has_value());
+  const std::vector<std::byte> bytes(64, std::byte{7});
+  ASSERT_EQ(mm_->on_copy_h2d(ctx_, p.value(), bytes, std::nullopt), Status::Ok);
+  auto image = mm_->export_image(ctx_);
+  auto delta = mm_->collect_migration_delta(ctx_);
+  ASSERT_TRUE(image.has_value() && delta.has_value());
+  // magic, version, entry count, then the first entry's vptr and size.
+  constexpr size_t kImageType = 4 + 4 + 8 + 8 + 8;
+  // magic, version, no freed vptrs, live count, then vptr and size.
+  constexpr size_t kDeltaType = 4 + 4 + 8 + 8 + 8 + 8;
+  ASSERT_EQ(image.value().at(kImageType), static_cast<u8>(EntryType::Linear));
+  ASSERT_EQ(delta.value().at(kDeltaType), static_cast<u8>(EntryType::Linear));
+  for (const u8 bad : {u8{2}, u8{255}}) {
+    auto corrupt_image = image.value();
+    corrupt_image[kImageType] = bad;
+    EXPECT_EQ(mm_->import_image(restored, corrupt_image), Status::ErrorCheckpointNotFound);
+    auto corrupt_delta = delta.value();
+    corrupt_delta[kDeltaType] = bad;
+    EXPECT_EQ(mm_->apply_migration_delta(restored, corrupt_delta), Status::ErrorProtocol);
+  }
+  EXPECT_EQ(mm_->import_image(restored, image.value()), Status::Ok);
+}
+
 TEST_F(CheckpointTest, UnknownContextRejected) {
   EXPECT_FALSE(mm_->export_image(ContextId{99}).has_value());
   std::vector<u8> image;

@@ -1,0 +1,311 @@
+// Kernel bodies as the unit under test: each is looked up in the registry
+// and run on host buffers, as SimGpu runs it on device memory. bs_price is
+// held to a scalar libm oracle, mm_matmul byte for byte to a plain ikj
+// loop, and every body must refuse size arguments whose products wrap --
+// the counts come from tenants.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "core/frontend.hpp"
+#include "core/runtime.hpp"
+#include "cudart/cudart.hpp"
+#include "sim/machine.hpp"
+#include "workloads/workload.hpp"
+
+namespace gpuvm::workloads {
+namespace {
+
+constexpr float kRate = 0.02f;  // the BS apps' fixed rate and volatility
+constexpr float kVol = 0.30f;
+
+// The CUDA SDK's scalar Black-Scholes on libm, as BlackScholes::run checks it.
+float oracle_cnd(float d) {
+  constexpr float a1 = 0.31938153f, a2 = -0.356563782f, a3 = 1.781477937f,
+                  a4 = -1.821255978f, a5 = 1.330274429f;
+  const float k = 1.0f / (1.0f + 0.2316419f * std::fabs(d));
+  const float cnd = 0.39894228040143267f * std::exp(-0.5f * d * d) *
+                    (k * (a1 + k * (a2 + k * (a3 + k * (a4 + k * a5)))));
+  return d > 0 ? 1.0f - cnd : cnd;
+}
+
+void oracle_price(float s, float x, float t, float* call, float* put) {
+  const float sqrt_t = std::sqrt(t);
+  const float d1 = (std::log(s / x) + (kRate + 0.5f * kVol * kVol) * t) / (kVol * sqrt_t);
+  const float d2 = d1 - kVol * sqrt_t;
+  const float exp_rt = std::exp(-kRate * t);
+  *call = s * oracle_cnd(d1) - x * exp_rt * oracle_cnd(d2);
+  *put = x * exp_rt * oracle_cnd(-d2) - s * oracle_cnd(-d1);
+}
+
+// c = a * b in the ikj order the mm_matmul body must reproduce bit for bit.
+void oracle_matmul(const float* a, const float* b, float* c, u64 n) {
+  std::fill(c, c + n * n, 0.0f);
+  for (u64 i = 0; i < n; ++i) {
+    for (u64 k = 0; k < n; ++k) {
+      const float aik = a[i * n + k];
+      for (u64 j = 0; j < n; ++j) c[i * n + j] += aik * b[k * n + j];
+    }
+  }
+}
+
+/// One launch's arguments: buffers become device-pointer arguments backed
+/// by the given host vector, in call order.
+struct Args {
+  std::vector<sim::KernelArg> args;
+  std::vector<std::span<std::byte>> spans;
+
+  template <typename T>
+  Args& buf(std::vector<T>& v) {
+    args.push_back(sim::KernelArg::dev_out(args.size() + 1));
+    spans.push_back(std::as_writable_bytes(std::span(v)));
+    return *this;
+  }
+  Args& i64v(i64 v) {
+    args.push_back(sim::KernelArg::i64v(v));
+    spans.emplace_back();
+    return *this;
+  }
+  Args& f64v(double v) {
+    args.push_back(sim::KernelArg::f64v(v));
+    spans.emplace_back();
+    return *this;
+  }
+};
+
+class KernelBodies : public ::testing::Test {
+ protected:
+  KernelBodies() {
+    register_all_kernels(registry_);
+    register_extended_kernels(registry_);
+  }
+
+  Status run(const std::string& kernel, const Args& a) {
+    const auto def = registry_.find(kernel);
+    EXPECT_NE(def, nullptr) << kernel;
+    if (def == nullptr) return Status::ErrorInvalidValue;
+    sim::KernelExecContext kc({}, a.args, a.spans);
+    return def->body(kc);
+  }
+
+  /// Prices the options with the bs_price body and returns the worst
+  /// |got - want| / (1 + |want|) against the libm oracle over both prices.
+  double worst_bs_error(std::vector<float> s, std::vector<float> x, std::vector<float> t) {
+    const u64 n = s.size();
+    std::vector<float> call(n);
+    std::vector<float> put(n);
+    EXPECT_EQ(run("bs_price", Args{}.buf(s).buf(x).buf(t).buf(call).buf(put).i64v(
+                                  static_cast<i64>(n))),
+              Status::Ok);
+    double worst = 0.0;
+    for (u64 i = 0; i < n; ++i) {
+      float want_call = 0;
+      float want_put = 0;
+      oracle_price(s[i], x[i], t[i], &want_call, &want_put);
+      worst = std::max({worst, std::fabs(double{call[i]} - want_call) / (1.0 + std::fabs(want_call)),
+                        std::fabs(double{put[i]} - want_put) / (1.0 + std::fabs(want_put))});
+    }
+    return worst;
+  }
+
+  sim::KernelRegistry registry_;
+};
+
+TEST_F(KernelBodies, BsPriceMatchesTheLibmOracleOnSeededOptions) {
+  // The ranges BlackScholes::run draws from.
+  constexpr u64 kOptions = 120'000;
+  Rng rng(17);
+  std::vector<float> s(kOptions);
+  std::vector<float> x(kOptions);
+  std::vector<float> t(kOptions);
+  for (u64 i = 0; i < kOptions; ++i) {
+    s[i] = 5.0f + static_cast<float>(rng.uniform()) * 25.0f;
+    x[i] = 1.0f + static_cast<float>(rng.uniform()) * 99.0f;
+    t[i] = 0.25f + static_cast<float>(rng.uniform()) * 9.75f;
+  }
+  EXPECT_LE(worst_bs_error(s, x, t), 1e-5);
+}
+
+TEST_F(KernelBodies, BsPriceMatchesTheLibmOracleOnEdgeOptions) {
+  std::vector<float> s;
+  std::vector<float> x;
+  std::vector<float> t;
+  const auto add = [&](float spot, float strike, float years) {
+    s.push_back(spot);
+    x.push_back(strike);
+    t.push_back(years);
+  };
+  for (const float years : {0.25f, 1.0f, 4.0f, 10.0f}) {
+    for (float strike = 1.0f; strike <= 100.0f; strike += 0.75f) {
+      // At-the-money forward: s = x e^-(r + v^2/2) t puts d1 near 0, where
+      // both CDF tails are near 1/2 and the sign fold flips.
+      const float atm = strike * std::exp(-(kRate + 0.5f * kVol * kVol) * years);
+      for (const float nudge : {1.0f, 1.0f - 1e-6f, 1.0f + 1e-6f, 0.999f, 1.001f}) {
+        add(atm * nudge, strike, years);
+      }
+    }
+  }
+  // Deep in and out of the money at short expiry: |d| near 20, so
+  // e^(-d^2/2) underflows in libm.
+  for (float strike = 1.0f; strike <= 1.3f; strike += 0.01f) add(30.0f, strike, 0.25f);
+  for (float strike = 90.0f; strike <= 100.0f; strike += 0.5f) add(5.0f, strike, 0.25f);
+  // The expiry range's ends across the spot and strike ranges.
+  for (const float years : {0.25f, 10.0f}) {
+    for (float spot = 5.0f; spot <= 30.0f; spot += 1.25f) {
+      for (float strike = 1.0f; strike <= 100.0f; strike += 3.0f) add(spot, strike, years);
+    }
+  }
+  EXPECT_LE(worst_bs_error(s, x, t), 1e-5);
+}
+
+TEST_F(KernelBodies, BsPriceTakesAnyInputBits) {
+  // Tenants may send any bytes. Every combination of special values in s,
+  // x and t prices without undefined behaviour (the sanitizer jobs run
+  // this), and a NaN input makes that option's prices NaN.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> specials = {
+      0.0f, -0.0f, 1e-40f, -1e-40f, std::numeric_limits<float>::min(), -1.0f, -1e30f,
+      1e38f, std::numeric_limits<float>::max(), inf, -inf, nan, 20.0f, 0.5f};
+  std::vector<float> s;
+  std::vector<float> x;
+  std::vector<float> t;
+  for (const float a : specials) {
+    for (const float b : specials) {
+      for (const float c : specials) {
+        s.push_back(a);
+        x.push_back(b);
+        t.push_back(c);
+      }
+    }
+  }
+  const u64 n = s.size();
+  std::vector<float> call(n);
+  std::vector<float> put(n);
+  ASSERT_EQ(run("bs_price",
+                Args{}.buf(s).buf(x).buf(t).buf(call).buf(put).i64v(static_cast<i64>(n))),
+            Status::Ok);
+  for (u64 i = 0; i < n; ++i) {
+    if (std::isnan(s[i]) || std::isnan(x[i]) || std::isnan(t[i])) {
+      EXPECT_TRUE(std::isnan(call[i]) && std::isnan(put[i]))
+          << "s=" << s[i] << " x=" << x[i] << " t=" << t[i];
+    }
+  }
+}
+
+TEST_F(KernelBodies, MatMulIsByteIdenticalToIkj) {
+  Rng rng(29);
+  for (const u64 n : {1, 2, 3, 4, 5, 63, 64, 65, 127, 128, 129, 312}) {
+    std::vector<float> a(n * n);
+    std::vector<float> b(n * n);
+    for (float& v : a) v = static_cast<float>(rng.uniform()) * 2.0f - 1.0f;
+    for (float& v : b) v = static_cast<float>(rng.uniform()) * 2.0f - 1.0f;
+    std::vector<float> want(n * n);
+    oracle_matmul(a.data(), b.data(), want.data(), n);
+    std::vector<float> got(n * n, 7.0f);
+    ASSERT_EQ(run("mm_matmul", Args{}.buf(a).buf(b).buf(got).i64v(static_cast<i64>(n))),
+              Status::Ok);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), n * n * sizeof(float)), 0) << "n=" << n;
+  }
+}
+
+TEST_F(KernelBodies, MatMulIntoItsOwnInputMatchesIkj) {
+  // c aliasing a: every row sees the ikj loop's partial updates.
+  constexpr u64 n = 65;
+  Rng rng(31);
+  std::vector<float> a(n * n);
+  std::vector<float> b(n * n);
+  for (float& v : a) v = static_cast<float>(rng.uniform());
+  for (float& v : b) v = static_cast<float>(rng.uniform());
+  std::vector<float> want = a;
+  oracle_matmul(want.data(), b.data(), want.data(), n);
+  ASSERT_EQ(run("mm_matmul", Args{}.buf(a).buf(b).buf(a).i64v(static_cast<i64>(n))),
+            Status::Ok);
+  EXPECT_EQ(std::memcmp(a.data(), want.data(), n * n * sizeof(float)), 0);
+}
+
+TEST_F(KernelBodies, SizeProductsThatWrapAreRefused) {
+  // 256-element buffers. Each count makes the body's size product wrap to
+  // a value those buffers pass (0 for n = 2^32 squared), or is negative.
+  std::vector<float> f0(256);
+  std::vector<float> f1(256);
+  std::vector<float> f2(256);
+  std::vector<i32> i0(256);
+  std::vector<i32> i1(256);
+  std::vector<i32> i2(256);
+  constexpr i64 k2p32 = i64{1} << 32;
+  const auto refused = [&](const std::string& kernel, const Args& args) {
+    EXPECT_EQ(run(kernel, args), Status::ErrorLaunchFailure) << kernel;
+  };
+  for (const i64 n : {k2p32, i64{-1}, i64{-3}}) {
+    refused("mm_matmul", Args{}.buf(f0).buf(f1).buf(f2).i64v(n));
+    refused("mt_transpose", Args{}.buf(f0).buf(f1).i64v(n));
+    refused("hs_step", Args{}.buf(f0).buf(f1).buf(f2).i64v(n));
+    refused("lud_step", Args{}.buf(f0).i64v(n).i64v(0));
+    refused("srad_step", Args{}.buf(f0).buf(f1).i64v(n).f64v(0.05));
+    refused("nw_diag", Args{}.buf(i0).buf(i1).buf(i2).i64v(n - 1).i64v(2));
+    refused("bfs_step", Args{}.buf(i0).buf(i1).i64v(n).i64v(0));
+  }
+  refused("sp_dot", Args{}.buf(f0).buf(f1).buf(f2).i64v(256).i64v(i64{1} << 56));
+  refused("bp_layerforward", Args{}.buf(f0).buf(f1).buf(f2).i64v(i64{1} << 60));
+  refused("bp_adjust", Args{}.buf(f0).buf(f1).buf(f2).i64v(i64{1} << 60));
+  refused("km_step", Args{}.buf(f0).buf(f1).buf(i0).i64v(i64{1} << 62));
+  refused("bfs_step", Args{}.buf(i0).buf(i1).i64v(i64{1} << 62).i64v(0));
+  // A BFS edge naming a node beyond the graph indexes past `levels`.
+  std::vector<i32> edges = {1, 2, 1000, 0, 0, 0};
+  std::vector<i32> levels = {0, -1};
+  refused("bfs_step", Args{}.buf(edges).buf(levels).i64v(2).i64v(0));
+}
+
+TEST(KernelBodyDaemon, WrappingMatMulGetsAnErrorAndTheDaemonKeepsServing) {
+  vt::Domain dom;
+  vt::AttachGuard guard(dom);
+  sim::SimMachine machine(dom, sim::SimParams{1});
+  machine.add_gpu(sim::test_gpu(1 << 20));
+  register_all_kernels(machine.kernels());
+  cudart::CudaRt rt(machine, cudart::CudaRtConfig{4 * 1024, 8});
+  const core::RuntimeConfig runtime_config;
+  core::Runtime runtime(rt, runtime_config);
+  core::FrontendApi api(runtime.connect());
+  ASSERT_EQ(api.register_kernels({"mm_matmul"}), Status::Ok);
+
+  constexpr u64 n = 16;  // three 1 KiB matrices
+  auto da = api.malloc(n * n * sizeof(float));
+  auto db = api.malloc(n * n * sizeof(float));
+  auto dc = api.malloc(n * n * sizeof(float));
+  ASSERT_TRUE(da.has_value() && db.has_value() && dc.has_value());
+  Rng rng(5);
+  std::vector<float> a(n * n);
+  std::vector<float> b(n * n);
+  for (float& v : a) v = static_cast<float>(rng.uniform());
+  for (float& v : b) v = static_cast<float>(rng.uniform());
+  ASSERT_EQ(api.copy_in(da.value(), a), Status::Ok);
+  ASSERT_EQ(api.copy_in(db.value(), b), Status::Ok);
+
+  sim::LaunchConfig config;
+  config.grid = {1, 1, 1};
+  config.block = {256, 1, 1};
+  const auto launch = [&](i64 count) {
+    return api.launch("mm_matmul", config,
+                      {sim::KernelArg::dev(da.value()), sim::KernelArg::dev(db.value()),
+                       sim::KernelArg::dev_out(dc.value()), sim::KernelArg::i64v(count)});
+  };
+  EXPECT_EQ(launch(i64{1} << 32), Status::ErrorLaunchFailure);  // n * n wraps to 0
+
+  ASSERT_EQ(launch(static_cast<i64>(n)), Status::Ok);
+  std::vector<float> got(n * n);
+  ASSERT_EQ(api.copy_out(got, dc.value()), Status::Ok);
+  std::vector<float> want(n * n);
+  oracle_matmul(a.data(), b.data(), want.data(), n);
+  EXPECT_EQ(got, want);
+}
+
+}  // namespace
+}  // namespace gpuvm::workloads

@@ -153,6 +153,51 @@ TEST_F(ProtocolTest, HugeCountsAndSizesGetErrorReplies) {
   EXPECT_EQ(call(*ch, Opcode::Malloc, w.take()), Status::Ok);
 }
 
+TEST_F(ProtocolTest, UnknownArgumentKindsGetProtocolErrors) {
+  // KernelArg kinds are 0-4 on the wire; any other byte is refused before
+  // it becomes an enum value (in a migrated context's pending launch too),
+  // and the connection keeps serving.
+  auto ch = connect_raw();
+  WireWriter configure;
+  configure.put(sim::LaunchConfig{});
+  ASSERT_EQ(call(*ch, Opcode::ConfigureCall, configure.take()), Status::Ok);
+  const auto setup = [&](u8 kind) {
+    WireWriter w;
+    w.put<u8>(kind);
+    w.put<u64>(7);
+    return call(*ch, Opcode::SetupArgument, w.take());
+  };
+  const auto launch = [&](u8 kind) {
+    WireWriter w;
+    w.put_string("addone");
+    w.put(sim::LaunchConfig{});
+    w.put<u64>(1);  // argc
+    w.put<u8>(kind);
+    w.put<u64>(7);
+    return call(*ch, Opcode::Launch, w.take());
+  };
+  const auto resume = [&](u8 kind) {
+    transport::MigrateResumePayload payload;
+    payload.has_pending_config = true;
+    payload.pending_config.resize(sizeof(sim::LaunchConfig));
+    payload.pending_args = {{kind, 7}};
+    return call(*ch, Opcode::MigrateResume, transport::encode_migrate_resume(payload));
+  };
+  for (const u8 kind : {u8{5}, u8{255}}) {
+    EXPECT_EQ(setup(kind), Status::ErrorProtocol) << int{kind};
+    EXPECT_EQ(launch(kind), Status::ErrorProtocol) << int{kind};
+    EXPECT_EQ(resume(kind), Status::ErrorProtocol) << int{kind};
+  }
+  const auto highest = static_cast<u8>(sim::KernelArg::Kind::AccessHint);
+  EXPECT_EQ(setup(highest), Status::Ok);
+  EXPECT_EQ(resume(highest), Status::Ok);
+  EXPECT_NE(launch(highest), Status::ErrorProtocol);  // fails later: "addone" is unknown
+
+  WireWriter w;
+  w.put<u64>(64);
+  EXPECT_EQ(call(*ch, Opcode::Malloc, w.take()), Status::Ok);
+}
+
 TEST_F(ProtocolTest, SetupArgumentWithoutConfigureRejected) {
   auto ch = connect_raw();
   WireWriter w;
