@@ -97,9 +97,11 @@ void NodeDirectory::watch(Node& node, transport::ChannelCosts costs) {
     entries_[node.id().value] = std::move(entry);
   }
   // From here on the daemon's pump hands each report to deliver() itself.
+  // A closing link needs no action: the node turns suspect once its
+  // reports stop.
   const NodeId id = node.id();
-  if (!channel->set_sink([this, id](Message report, vt::TimePoint at) {
-        deliver(id, std::move(report), at);
+  if (!channel->set_sink([this, id](std::optional<Message> report, vt::TimePoint at) {
+        if (report.has_value()) deliver(id, std::move(*report), at);
       })) {
     // No sink on this channel: watch blind, as for a v2 peer.
     channel->close();

@@ -34,8 +34,8 @@ enum class ContextState {
 
 const char* to_string(ContextState s);
 
-/// Serializes multi-thread access to one context's memory state. The owning
-/// connection thread holds it while servicing a call; an inter-application
+/// Serializes multi-thread access to one context's memory state. The thread
+/// serving a call of the connection holds it; an inter-application
 /// swap or a failure handler holds it while evicting the (unbound) victim.
 /// vt-aware so a blocked acquirer does not stall the virtual clock.
 class ContextLock {
@@ -76,12 +76,13 @@ struct Context {
   const ContextId id;
   ContextLock lock;
 
-  // ---- Fields below are written by the owning connection thread or by a
-  // holder of `lock`; the scheduler guards binding state with its own lock.
+  // ---- Fields below are written by the connection's calls or by a holder
+  // of `lock`; the scheduler guards binding state with its own lock.
   std::atomic<ContextState> state{ContextState::Pending};
 
   /// Registered kernel symbols: handle -> name (per-connection mirror of
-  /// the __cudaRegister* calls, issued eagerly before binding).
+  /// the __cudaRegister* calls, issued eagerly before binding). Guarded by
+  /// `lock`: the threads of a CUDA-4 application register concurrently.
   std::map<u64, std::string> functions;
   std::set<u64> modules;
   u64 next_module = 1;
@@ -109,21 +110,27 @@ struct Context {
   double gpu_time_used_seconds = 0.0;
 
   /// Last failed call's status (cudaGetLastError).
-  Status last_error = Status::Ok;
+  std::atomic<Status> last_error{Status::Ok};
 
   /// Set when the context launched a kernel flagged as using in-kernel
   /// malloc: the paper excludes such apps from sharing/dynamic scheduling.
-  bool pinned = false;
+  /// Evictors and migrators read it without the context lock.
+  std::atomic<bool> pinned{false};
 
-  /// The connection channel, published by the servicing thread for the
-  /// lifetime of the connection (cleared under `lock` at teardown). Used by
+  /// The connection channel, published by the session for the lifetime of
+  /// the connection (cleared under `lock` at teardown). Used by
   /// inter-application swap to ask "any pending requests?" -- an app in a
-  /// CPU phase with no pending requests accepts a swap request.
+  /// CPU phase with no pending requests accepts a swap request. An
+  /// in-process channel serves each request inside its sender's send(), so
+  /// nothing queues there and pending() reads false. That matches a thread
+  /// serving it in virtual time: the thread popped each request at its send
+  /// instant, so pending() was true for zero virtual time. A socket channel
+  /// still queues requests, and the probe still matters there.
   std::atomic<transport::MessageChannel*> channel{nullptr};
 
   // ---- Live migration (see Runtime::migrate_context) -----------------------
 
-  /// Requests currently inside handle()/do_launch on the connection thread.
+  /// Requests of the connection currently inside handle()/do_launch.
   /// The migration committer flips `migrated` and then requires this to be
   /// zero -- since the scheduler handshake runs inside do_launch, a nonzero
   /// count proves a call could still touch local state, so the committer
@@ -136,8 +143,8 @@ struct Context {
   /// (a paced poll samples at instants that can tie with unrelated events).
   std::mutex quiesce_mu;
   vt::ConditionVariable quiesce_cv;
-  /// Once true (stop-and-copy committed), the connection thread forwards
-  /// every subsequent request to `fwd` instead of serving it locally.
+  /// Once true (stop-and-copy committed), the connection forwards every
+  /// subsequent request to `fwd` instead of serving it locally.
   /// Never reset after the resume frame is on the wire: the target owns the
   /// job from that point, even if the final ack is lost.
   std::atomic<bool> migrated{false};

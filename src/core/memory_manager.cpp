@@ -88,6 +88,19 @@ obs::Histogram& page_fault_seconds_hist() {
   return h;
 }
 
+/// Sizes an entry's swap area; false when the host cannot back `size`
+/// bytes. A size beyond max_size() (2^63 and up) is refused up front:
+/// resize() would throw length_error, which is not an allocation failure.
+bool resize_swap(std::vector<std::byte>& swap, u64 size) {
+  if (size > swap.max_size()) return false;
+  try {
+    swap.resize(size);
+  } catch (const std::bad_alloc&) {
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 MemoryManager::MemoryManager(cudart::CudaRt& rt, Config config) : rt_(&rt), config_(config) {
@@ -186,11 +199,8 @@ StatusOr<VirtualPtr> MemoryManager::on_malloc(ContextId ctx, u64 size) {
 
   auto pte = std::make_unique<PageTableEntry>();
   pte->size = size;
-  try {
-    pte->swap.resize(size);  // the swap area backs every allocation
-  } catch (const std::bad_alloc&) {
-    return Status::ErrorSwapAllocation;
-  }
+  // The swap area backs every allocation.
+  if (!resize_swap(pte->swap, size)) return Status::ErrorSwapAllocation;
 
   // Virtual addresses come from a lock-free bump allocator. Spans are
   // 256-aligned multiples of 256 with a guard gap, so every address is
@@ -1172,11 +1182,8 @@ Status MemoryManager::import_image(ContextId ctx, std::span<const u8> image) {
       ref.target = r.get<u64>();
       pte->nested.push_back(ref);
     }
-    try {
-      pte->swap.resize(pte->size);  // zero outside the validated ranges
-    } catch (const std::bad_alloc&) {
-      return Status::ErrorSwapAllocation;
-    }
+    // Zero outside the validated ranges.
+    if (!resize_swap(pte->swap, pte->size)) return Status::ErrorSwapAllocation;
     const u64 valid_ranges = r.get<u64>();
     for (u64 j = 0; j < valid_ranges && r.ok(); ++j) {
       const u64 begin = r.get<u64>();
@@ -1347,11 +1354,7 @@ Status MemoryManager::apply_migration_delta(ContextId ctx, std::span<const u8> d
       auto fresh = std::make_unique<PageTableEntry>();
       fresh->virtual_ptr = vptr;
       fresh->size = size;
-      try {
-        fresh->swap.resize(size);
-      } catch (const std::bad_alloc&) {
-        return Status::ErrorSwapAllocation;
-      }
+      if (!resize_swap(fresh->swap, size)) return Status::ErrorSwapAllocation;
       pte = fresh.get();
       mem->entries.emplace(vptr, std::move(fresh));
       mem->total_bytes.fetch_add(size, std::memory_order_relaxed);

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "common/log.hpp"
 #include "common/wire.hpp"
@@ -84,7 +85,117 @@ constexpr int kMaxPrecopyRounds = 3;
 constexpr u64 kStopCopyThresholdBytes = 4096;
 constexpr int kMaxQuiesceAttempts = 50;
 
+/// Publishes "a call is in flight" for the quiescence handshake with
+/// migrate_context, around the read of `migrated` (both seq_cst). The
+/// committer does the mirror image -- stores `migrated`, then requires the
+/// count to be zero -- so a racing call either sees the flag (and forwards
+/// to the target) or is counted (and the committer rolls back and retries).
+/// Retiring the count to zero wakes a quiescing migrator at this exact
+/// instant, also when the call throws.
+class CallInFlight {
+ public:
+  explicit CallInFlight(Context& ctx) : ctx_(ctx) {
+    ctx_.calls_in_flight.fetch_add(1, std::memory_order_seq_cst);
+  }
+  ~CallInFlight() {
+    if (ctx_.calls_in_flight.fetch_sub(1, std::memory_order_seq_cst) == 1) {
+      std::lock_guard<std::mutex> quiesce_lk(ctx_.quiesce_mu);
+      ctx_.quiesce_cv.notify_all();
+    }
+  }
+  CallInFlight(const CallInFlight&) = delete;
+  CallInFlight& operator=(const CallInFlight&) = delete;
+
+ private:
+  Context& ctx_;
+};
+
 }  // namespace
+
+/// One connection's state and per-message logic, shared by both drivers:
+/// the sink of an in-process channel (connect_with) and the serving thread
+/// of any other channel (serve_channel). It awaits the Hello, then serves a
+/// context, proxies to a peer daemon or streams heartbeats until it closes.
+/// Calls arrive one at a time; on_close() may arrive from any thread, also
+/// re-entrantly from a call that closes its own channel. Whoever lets go of
+/// the session last -- the closer, the call in progress or the heartbeat
+/// pump -- tears it down, exactly once.
+class Runtime::Session {
+ public:
+  Session(Runtime& rt, std::unique_ptr<transport::MessageChannel> channel, bool served_inline)
+      : rt_(rt), channel_(std::move(channel)), served_inline_(served_inline) {}
+
+  /// Detaching the sink waits out a sender still on its way out of a call,
+  /// so nothing refers to the session afterwards.
+  ~Session() { channel_->set_sink({}); }
+
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
+
+  transport::MessageChannel& channel() { return *channel_; }
+  bool served_inline() const { return served_inline_; }
+  bool finished() const { return finished_.load(std::memory_order_acquire); }
+
+  /// Serves one request delivered at `at`: the sink sleeps until then (a
+  /// serving thread's receive() already has).
+  void deliver(Message msg, vt::TimePoint at);
+
+  /// The channel closed: tears the session down now, or when the call or
+  /// pump in progress lets go of it. Idempotent.
+  void on_close();
+
+ private:
+  enum class Phase { AwaitHello, Serving, Proxying, Subscribed };
+
+  void on_hello(const Message& msg);
+  bool offload(const Message& msg, const transport::HelloPayload& hello, u32 caps);
+  void open_context(const transport::HelloPayload& hello, u32 caps);
+  void serve(const Message& msg);
+  void proxy(Message msg);
+  void start_pump();
+
+  /// Closes the channel from the daemon's side; the session ends once the
+  /// call in progress returns.
+  void close() {
+    channel_->close();
+    on_close();
+  }
+  bool enter();
+  void leave();
+  void teardown();
+
+  Runtime& rt_;
+  const std::unique_ptr<transport::MessageChannel> channel_;
+  const bool served_inline_;
+  Phase phase_ = Phase::AwaitHello;  // read and written by calls only
+
+  /// The connection's causal identity and its running child ordinal,
+  /// installed for every call on whichever thread serves it.
+  obs::TraceContext trace_;
+  u64 trace_ordinal_ = 0;
+
+  /// Subscribed: the heartbeat pump to start once the subscribing call's
+  /// trace scope has handed the ordinal back.
+  struct Subscription {
+    ConnectionId conn;
+    vt::Duration interval;
+  };
+  std::optional<Subscription> subscription_;
+
+  /// Serving: the context (shared with other connections in CUDA-4 mode).
+  std::shared_ptr<Context> ctx_;
+  bool shared_ = false;
+  u64 app_id_ = 0;
+
+  /// Proxying: the peer daemon's channel and the span over the whole hop.
+  std::unique_ptr<transport::MessageChannel> peer_;
+  std::optional<obs::SpanScope> offload_span_;
+
+  std::mutex mu_;  // guards active_ and closing_; never held across a call
+  int active_ = 0;  // calls in progress, plus the heartbeat pump
+  bool closing_ = false;
+  std::atomic<bool> finished_{false};
+};
 
 Runtime::Runtime(cudart::CudaRt& rt, RuntimeConfig config)
     : rt_(&rt),
@@ -119,14 +230,21 @@ Runtime::Runtime(cudart::CudaRt& rt, RuntimeConfig config)
 }
 
 Runtime::~Runtime() {
-  std::vector<vt::Thread> threads;
+  std::vector<std::unique_ptr<Session>> sessions;
   {
     std::unique_lock lk(mu_);
     shutting_down_ = true;
+    sessions.swap(sessions_);
+  }
+  // Closing every channel tears its session down (a late client send()
+  // returns false) and ends its serving thread; heartbeat pumps stop at
+  // their next wakeup. Sessions are freed only once no thread can use them.
+  for (const auto& session : sessions) session->channel().close();
+  std::vector<vt::Thread> threads;
+  {
+    std::unique_lock lk(mu_);
     threads.swap(threads_);
   }
-  // Connection threads exit when their channels close (clients closing) or
-  // have already finished; joining happens via vt::Thread destructors.
   threads.clear();
 }
 
@@ -158,27 +276,59 @@ std::unique_ptr<transport::MessageChannel> Runtime::connect() {
 std::unique_ptr<transport::MessageChannel> Runtime::connect_with(
     transport::ChannelCosts costs) {
   auto [client_end, server_end] = transport::make_local_pair(rt_->machine().domain(), costs);
-  serve_channel(std::move(server_end));
+  std::vector<std::unique_ptr<Session>> finished;
+  Session* session = nullptr;
+  {
+    std::unique_lock lk(mu_);
+    session = open_session_locked(std::move(server_end), /*served_inline=*/true, finished);
+  }
+  finished.clear();  // outside mu_: each detaches its sink first
+  if (session != nullptr) {
+    // Served on the sending thread: the client's send() runs the request at
+    // its delivery instant and returns once the reply is queued.
+    session->channel().set_sink([session](std::optional<Message> msg, vt::TimePoint at) {
+      if (msg.has_value()) {
+        session->deliver(std::move(*msg), at);
+      } else {
+        session->on_close();
+      }
+    });
+  }
   return std::move(client_end);
 }
 
 void Runtime::serve_channel(std::unique_ptr<transport::MessageChannel> channel) {
+  std::vector<std::unique_ptr<Session>> finished;
   std::unique_lock lk(mu_);
+  Session* session = open_session_locked(std::move(channel), /*served_inline=*/false, finished);
+  if (session == nullptr) return;
+  threads_.emplace_back(rt_->machine().domain(), [session] {
+    while (auto msg = session->channel().receive()) {
+      session->deliver(std::move(*msg), vt::kTimeZero);  // receive() slept already
+    }
+    session->on_close();
+  });
+}
+
+Runtime::Session* Runtime::open_session_locked(
+    std::unique_ptr<transport::MessageChannel> channel, bool served_inline,
+    std::vector<std::unique_ptr<Session>>& finished) {
+  // A serving thread may still be on its way out of a finished session, so
+  // only in-process sessions are freed before the daemon is.
+  const auto open = std::partition(sessions_.begin(), sessions_.end(), [](const auto& s) {
+    return !(s->served_inline() && s->finished());
+  });
+  finished.insert(finished.end(), std::make_move_iterator(open),
+                  std::make_move_iterator(sessions_.end()));
+  sessions_.erase(open, sessions_.end());
   if (shutting_down_) {
     channel->close();
-    return;
+    return nullptr;
   }
   ++open_connections_;
   stats_.connections.fetch_add(1, std::memory_order_relaxed);
-  threads_.emplace_back(rt_->machine().domain(),
-                        [this, ch = std::shared_ptr<transport::MessageChannel>(
-                                   std::move(channel))]() mutable {
-                          connection_loop(*ch);
-                          ch->close();
-                          std::unique_lock lk2(mu_);
-                          --open_connections_;
-                          drained_cv_.notify_all();
-                        });
+  sessions_.push_back(std::make_unique<Session>(*this, std::move(channel), served_inline));
+  return sessions_.back().get();
 }
 
 void Runtime::set_offload_peer(
@@ -399,34 +549,104 @@ std::shared_ptr<Context> Runtime::find_context(ContextId id) {
   return contexts_.find(id);
 }
 
-void Runtime::connection_loop(transport::MessageChannel& channel) {
-  auto hello_msg = channel.receive();
-  if (!hello_msg.has_value() || hello_msg->op != Opcode::Hello) return;
+bool Runtime::Session::enter() {
+  std::scoped_lock lk(mu_);
+  if (closing_) return false;
+  ++active_;
+  return true;
+}
 
+void Runtime::Session::leave() {
+  {
+    std::scoped_lock lk(mu_);
+    if (--active_ > 0 || !closing_) return;
+  }
+  teardown();
+}
+
+void Runtime::Session::on_close() {
+  {
+    std::scoped_lock lk(mu_);
+    if (closing_) return;
+    closing_ = true;
+    if (active_ > 0) return;  // the call or pump in progress tears down
+  }
+  teardown();
+}
+
+void Runtime::Session::deliver(Message msg, vt::TimePoint at) {
+  if (!enter()) return;  // closing: a late request gets no reply
+  rt_.rt_->machine().domain().sleep_until(at);
+  // Once subscribed, the pump owns the connection (and its trace ordinal):
+  // nothing else is spoken.
+  if (phase_ != Phase::Subscribed) {
+    const ConnectionId conn = msg.connection;
+    // Last line of defence: a call that throws must take down neither the
+    // daemon nor -- served inline -- the client's own send(). It gets an
+    // ErrorProtocol reply and the connection closes.
+    const auto refuse = [&](const char* what) {
+      log::warn("runtime: a call threw (%s), closing the connection", what);
+      channel_->send(transport::make_reply(conn, Status::ErrorProtocol));
+      close();
+    };
+    try {
+      obs::ScopedTraceContext scoped_trace(trace_, &trace_ordinal_);
+      if (phase_ == Phase::AwaitHello) {
+        on_hello(msg);
+      } else if (phase_ == Phase::Proxying) {
+        proxy(std::move(msg));
+      } else {
+        serve(msg);
+      }
+    } catch (const std::exception& e) {
+      refuse(e.what());
+    } catch (...) {
+      refuse("unknown exception");
+    }
+    if (subscription_.has_value()) start_pump();
+  }
+  leave();
+}
+
+void Runtime::Session::on_hello(const Message& msg) {
+  if (msg.op != Opcode::Hello) {
+    close();
+    return;
+  }
   // Protocol handshake: reject pre-handshake (v1) or incompatible peers
   // with a clean ErrorProtocolMismatch instead of misparsing their frames.
-  auto hello = transport::decode_hello(hello_msg->payload);
+  auto hello = transport::decode_hello(msg.payload);
   if (!hello) {
-    channel.send(transport::make_reply(hello_msg->connection, hello.status()));
+    channel_->send(transport::make_reply(msg.connection, hello.status()));
     log::info("runtime: rejected peer with incompatible handshake (%s)",
               to_string(hello.status()));
+    close();
     return;
   }
   // Negotiated capability set: what both sides speak (caps_mask lets tests
   // and deployments emulate an older daemon by withholding bits).
-  const u32 caps = hello->caps & protocol::caps::kAll & config_.caps_mask;
+  const u32 caps = hello->caps & protocol::caps::kAll & rt_.config_.caps_mask;
 
   // Causal trace propagation: when both sides speak kTraceContext, the
-  // client's trace identity is installed on this servicing thread for the
-  // connection's lifetime -- every span/instant recorded below joins the
-  // job's cross-process timeline. Without the bit (masked daemon, old
-  // peer) the fields are ignored and events stay unstamped.
-  obs::TraceContext trace;
+  // client's trace identity is installed for every call of the connection
+  // -- every span/instant recorded while serving it joins the job's
+  // cross-process timeline. Without the bit (masked daemon, old peer) the
+  // fields are ignored and events stay unstamped.
   if ((caps & protocol::caps::kTraceContext) != 0 && hello->trace_id != 0) {
-    trace = obs::TraceContext{hello->trace_id, hello->parent_span};
+    trace_ = obs::TraceContext{hello->trace_id, hello->parent_span};
   }
-  obs::ScopedTraceContext scoped_trace(trace);
+  obs::set_current_trace(trace_);  // the call's scope stores the ordinal back
+  if (offload(msg, *hello, caps)) return;
+  open_context(*hello, caps);
+  transport::HelloReply hr;
+  hr.context_id = ctx_->id.value;
+  hr.caps = ctx_->caps.load(std::memory_order_acquire);
+  channel_->send(transport::make_reply(msg.connection, Status::Ok,
+                                       transport::encode_hello_reply(hr)));
+}
 
+bool Runtime::Session::offload(const Message& msg, const transport::HelloPayload& hello,
+                               u32 caps) {
   // Inter-node offloading: if this node is overloaded and a peer exists,
   // the whole connection is proxied there (section 4.7). Only the CUDA
   // calls move; the application's CPU phases stay where the job runs. A
@@ -434,216 +654,240 @@ void Runtime::connection_loop(transport::MessageChannel& channel) {
   // (prevents offload ping-pong between mutually overloaded nodes).
   std::function<std::unique_ptr<transport::MessageChannel>()> factory;
   {
-    std::unique_lock lk(mu_);
-    factory = peer_factory_;
+    std::unique_lock lk(rt_.mu_);
+    factory = rt_.peer_factory_;
   }
-  if (!hello->forwarded && (caps & protocol::caps::kOffload) != 0 && factory &&
-      config_.offload_threshold >= 0 && load() >= config_.offload_threshold) {
-    // A mesh factory may *decline* (the directory's hysteresis found no
-    // suitable peer): nullptr on the first call means "serve locally by
-    // choice", which is not an offload fallback -- no counter, no log.
-    if (auto first = factory(); first != nullptr) {
-      // The peer handshake runs over a ReconnectingChannel seeded with the
-      // already-open channel: a forwarded Hello lost to a broken link is
-      // resent on a fresh channel. Once a session is established, a
-      // mid-session break surfaces to the client as a closed connection
-      // (the proxy carries no replayable state).
-      auto seed = std::make_shared<std::unique_ptr<transport::MessageChannel>>(
-          std::move(first));
-      transport::ReconnectingChannel peer([seed, factory]() {
-        if (*seed != nullptr) return std::move(*seed);
-        return factory();
-      });
-      bool proxied = false;
-      if (!peer.closed()) {
-        // Offload session span: covers the whole proxied connection. Its
-        // span id replaces the forwarded Hello's parent, so the destination
-        // daemon's spans nest under the hop in the merged cluster trace.
-        obs::SpanScope session("offload-session", "offload", obs::kRuntimePid,
-                               obs::kOffloadTidBase + hello_msg->connection.value);
-        transport::Message fwd = *hello_msg;
-        transport::HelloPayload fwd_hello = *hello;
-        fwd_hello.forwarded = true;  // the peer must not shed it again
-        if (session.span_id() != 0) fwd_hello.parent_span = session.span_id();
-        fwd.payload = transport::encode_hello(fwd_hello);
-        if (peer.send(std::move(fwd))) {
-          if (auto reply = peer.receive(); reply.has_value()) {
-            if (trace.valid()) {
-              // Destination without kTraceContext ignores the forwarded
-              // trace; annotate the causal gap so the merged trace says why
-              // the remote half is missing.
-              auto hr = transport::decode_hello_reply(transport::reply_payload(*reply));
-              if (hr.has_value() &&
-                  (hr->caps & protocol::caps::kTraceContext) == 0) {
-                obs::emit_instant("trace-gap: offload peer lacks kTraceContext",
-                                  "trace", obs::kRuntimePid,
-                                  obs::kOffloadTidBase + hello_msg->connection.value);
-              }
-            }
-            stats_.offloaded_connections.fetch_add(1, std::memory_order_relaxed);
-            channel.send(std::move(*reply));
-            offload_proxy_loop(channel, peer);
-            proxied = true;
+  if (hello.forwarded || (caps & protocol::caps::kOffload) == 0 || !factory ||
+      rt_.config_.offload_threshold < 0 || rt_.load() < rt_.config_.offload_threshold) {
+    return false;
+  }
+  // A mesh factory may *decline* (the directory's hysteresis found no
+  // suitable peer): nullptr on the first call means "serve locally by
+  // choice", which is not an offload fallback -- no counter, no log.
+  auto first = factory();
+  if (first == nullptr) return false;
+  // The peer handshake runs over a ReconnectingChannel seeded with the
+  // already-open channel: a forwarded Hello lost to a broken link is resent
+  // on a fresh channel. Once a session is established, a mid-session break
+  // surfaces to the client as a closed connection (the proxy carries no
+  // replayable state).
+  auto seed = std::make_shared<std::unique_ptr<transport::MessageChannel>>(std::move(first));
+  auto peer = std::make_unique<transport::ReconnectingChannel>([seed, factory]() {
+    if (*seed != nullptr) return std::move(*seed);
+    return factory();
+  });
+  if (!peer->closed()) {
+    // Offload session span: covers the whole proxied connection. Its span
+    // id replaces the forwarded Hello's parent, so the destination daemon's
+    // spans nest under the hop in the merged cluster trace.
+    offload_span_.emplace("offload-session", "offload", obs::kRuntimePid,
+                          obs::kOffloadTidBase + msg.connection.value);
+    const u64 span = offload_span_->span_id();
+    Message fwd = msg;
+    transport::HelloPayload fwd_hello = hello;
+    fwd_hello.forwarded = true;  // the peer must not shed it again
+    if (span != 0) fwd_hello.parent_span = span;
+    fwd.payload = transport::encode_hello(fwd_hello);
+    if (peer->send(std::move(fwd))) {
+      if (auto reply = peer->receive(); reply.has_value()) {
+        if (trace_.valid()) {
+          // Destination without kTraceContext ignores the forwarded trace;
+          // annotate the causal gap so the merged trace says why the remote
+          // half is missing.
+          auto hr = transport::decode_hello_reply(transport::reply_payload(*reply));
+          if (hr.has_value() && (hr->caps & protocol::caps::kTraceContext) == 0) {
+            obs::emit_instant("trace-gap: offload peer lacks kTraceContext", "trace",
+                              obs::kRuntimePid, obs::kOffloadTidBase + msg.connection.value);
           }
         }
+        rt_.stats_.offloaded_connections.fetch_add(1, std::memory_order_relaxed);
+        // Every later call relays under the session span.
+        if (span != 0) trace_.parent_span = span;
+        peer_ = std::move(peer);
+        phase_ = Phase::Proxying;
+        channel_->send(std::move(*reply));
+        return true;
       }
-      peer.close();
-      if (proxied) return;
-      // Peer unreachable: degrade gracefully by servicing the connection
-      // locally instead of abandoning the application.
-      stats_.offload_fallbacks.fetch_add(1, std::memory_order_relaxed);
-      offload_fallbacks_counter().add(1);
-      log::info("runtime: offload peer unreachable, serving connection locally");
     }
+    offload_span_.reset();
   }
+  peer->close();
+  // Peer unreachable: degrade gracefully by servicing the connection
+  // locally instead of abandoning the application.
+  rt_.stats_.offload_fallbacks.fetch_add(1, std::memory_order_relaxed);
+  offload_fallbacks_counter().add(1);
+  log::info("runtime: offload peer unreachable, serving connection locally");
+  return false;
+}
 
+void Runtime::Session::open_context(const transport::HelloPayload& hello, u32 caps) {
   // Local servicing: create the context -- or, in CUDA 4 mode, join the
   // application's shared context ("all threads belonging to the same
   // application are mapped onto the same CUDA context", section 4.8).
-  std::shared_ptr<Context> ctx;
-  const u64 app_id = hello->app_id;
-  const bool shared = config_.cuda4_semantics && app_id != 0;
+  app_id_ = hello.app_id;
+  shared_ = rt_.config_.cuda4_semantics && app_id_ != 0;
   bool fresh = true;
-  if (shared) {
-    std::unique_lock lk(mu_);
-    const auto it = app_contexts_.find(app_id);
-    if (it != app_contexts_.end()) {
-      ctx = it->second;
-      ctx->connection_refs.fetch_add(1, std::memory_order_acq_rel);
+  if (shared_) {
+    std::unique_lock lk(rt_.mu_);
+    const auto it = rt_.app_contexts_.find(app_id_);
+    if (it != rt_.app_contexts_.end()) {
+      ctx_ = it->second;
+      ctx_->connection_refs.fetch_add(1, std::memory_order_acq_rel);
       // The shared context speaks the intersection of all its connections.
-      ctx->caps.fetch_and(caps, std::memory_order_acq_rel);
+      ctx_->caps.fetch_and(caps, std::memory_order_acq_rel);
       fresh = false;
     } else {
-      const ContextId id{next_context_.fetch_add(1, std::memory_order_relaxed)};
-      ctx = std::make_shared<Context>(id, rt_->machine().domain());
-      contexts_.emplace(id, ctx);
-      app_contexts_.emplace(app_id, ctx);
+      const ContextId id{rt_.next_context_.fetch_add(1, std::memory_order_relaxed)};
+      ctx_ = std::make_shared<Context>(id, rt_.rt_->machine().domain());
+      rt_.contexts_.emplace(id, ctx_);
+      rt_.app_contexts_.emplace(app_id_, ctx_);
     }
   } else {
-    const ContextId id{next_context_.fetch_add(1, std::memory_order_relaxed)};
-    ctx = std::make_shared<Context>(id, rt_->machine().domain());
-    contexts_.emplace(id, ctx);
+    const ContextId id{rt_.next_context_.fetch_add(1, std::memory_order_relaxed)};
+    ctx_ = std::make_shared<Context>(id, rt_.rt_->machine().domain());
+    rt_.contexts_.emplace(id, ctx_);
   }
-  if (fresh) {
-    if (obs::TraceRecorder* tr = obs::tracer()) {
-      tr->set_thread_name(obs::kRuntimePid, ctx->id.value,
-                          "ctx " + std::to_string(ctx->id.value));
-    }
-    obs::emit_instant("connect", "conn", obs::kRuntimePid, ctx->id.value, ctx->id.value);
-    mm_->add_context(ctx->id);
-    ctx->arrival = rt_->machine().domain().now();
-    ctx->job_cost_hint_seconds = hello->job_cost_hint_seconds;
-    ctx->deadline_seconds = hello->deadline_seconds;
-    ctx->app_id = app_id;
-    // Remember the trace identity: a later migration of this context
-    // re-propagates it to the target so the job's timeline stays one trace.
-    if (trace.valid()) {
-      ctx->trace_id = trace.trace_id;
-      ctx->parent_span = trace.parent_span;
-    }
-    ctx->caps.store(caps, std::memory_order_release);
-    ctx->state.store(ContextState::Detached, std::memory_order_release);
-    // Shared contexts have several channels; the idle probe used by
-    // inter-application swap only applies to exclusive contexts.
-    if (!shared) ctx->channel.store(&channel, std::memory_order_release);
+  phase_ = Phase::Serving;
+  if (!fresh) return;
+  Context& ctx = *ctx_;
+  if (obs::TraceRecorder* tr = obs::tracer()) {
+    tr->set_thread_name(obs::kRuntimePid, ctx.id.value, "ctx " + std::to_string(ctx.id.value));
   }
-  {
-    transport::HelloReply hr;
-    hr.context_id = ctx->id.value;
-    hr.caps = ctx->caps.load(std::memory_order_acquire);
-    channel.send(transport::make_reply(hello_msg->connection, Status::Ok,
-                                       transport::encode_hello_reply(hr)));
+  obs::emit_instant("connect", "conn", obs::kRuntimePid, ctx.id.value, ctx.id.value);
+  rt_.mm_->add_context(ctx.id);
+  ctx.arrival = rt_.rt_->machine().domain().now();
+  ctx.job_cost_hint_seconds = hello.job_cost_hint_seconds;
+  ctx.deadline_seconds = hello.deadline_seconds;
+  ctx.app_id = app_id_;
+  // Remember the trace identity: a later migration of this context
+  // re-propagates it to the target so the job's timeline stays one trace.
+  if (trace_.valid()) {
+    ctx.trace_id = trace_.trace_id;
+    ctx.parent_span = trace_.parent_span;
   }
-
-  while (auto msg = channel.receive()) {
-    if (msg->op == Opcode::Goodbye) {
-      // A migrated context's teardown must reach the target too, or its
-      // replica would linger there forever.
-      if (ctx->migrated.load(std::memory_order_seq_cst)) {
-        (void)forward_migrated(*ctx, channel, *msg);
-      }
-      channel.send(transport::make_reply(msg->connection, Status::Ok));
-      break;
-    }
-    if (msg->op == Opcode::QueryLoad) {
-      // Handled outside handle(): a subscription (interval > 0) takes over
-      // the connection -- the daemon streams LoadReport frames on it until
-      // it closes, and nothing else is spoken.
-      if ((ctx->caps.load(std::memory_order_acquire) & protocol::caps::kQueryLoad) == 0) {
-        channel.send(transport::make_reply(msg->connection, Status::ErrorNotSupported));
-        continue;
-      }
-      const auto interval_ns = transport::decode_query_load(msg->payload);
-      if (!interval_ns) {
-        channel.send(transport::make_reply(msg->connection, interval_ns.status()));
-        continue;
-      }
-      channel.send(transport::make_reply(msg->connection, Status::Ok,
-                                         transport::encode_load(load_snapshot())));
-      if (interval_ns.value() > 0) {
-        heartbeat_loop(channel, msg->connection, vt::Duration(interval_ns.value()));
-        break;
-      }
-      continue;
-    }
-    // Quiescence handshake with migrate_context: publish "a call is in
-    // flight" before reading `migrated` (both seq_cst). The committer does
-    // the mirror image -- stores `migrated`, then requires the count to be
-    // zero -- so a racing call either sees the flag (and forwards to the
-    // target) or is counted (and the committer rolls back and retries).
-    ctx->calls_in_flight.fetch_add(1, std::memory_order_seq_cst);
-    transport::Message out = ctx->migrated.load(std::memory_order_seq_cst)
-                                 ? forward_migrated(*ctx, channel, *msg)
-                                 : handle(*ctx, channel, *msg);
-    if (ctx->calls_in_flight.fetch_sub(1, std::memory_order_seq_cst) == 1) {
-      // Wake a quiescing migrator at this exact instant (see migrate_context:
-      // its rollback path waits for the blocking call to retire).
-      std::lock_guard<std::mutex> quiesce_lk(ctx->quiesce_mu);
-      ctx->quiesce_cv.notify_all();
-    }
-    channel.send(std::move(out));
-  }
-
-  // Teardown: the last connection of the context releases its binding and
-  // frees its memory (a shared CUDA 4 context outlives individual threads).
-  if (ctx->connection_refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    scheduler_->release(*ctx);
-    {
-      std::scoped_lock ctx_lock(ctx->lock);
-      ctx->channel.store(nullptr, std::memory_order_release);
-      // A migrated context's memory left with the commit; remove_context
-      // tolerates the second call. The forwarding channel closes here --
-      // the target sees the disconnect and tears the replica down.
-      if (ctx->fwd != nullptr) {
-        ctx->fwd->close();
-        ctx->fwd.reset();
-      }
-      mm_->remove_context(ctx->id);
-    }
-    ctx->state.store(ContextState::Done, std::memory_order_release);
-    obs::emit_instant("disconnect", "conn", obs::kRuntimePid, ctx->id.value, ctx->id.value);
-    contexts_.take(ctx->id);
-    if (shared) {
-      std::unique_lock lk(mu_);
-      app_contexts_.erase(app_id);
-    }
-  }
+  ctx.caps.store(caps, std::memory_order_release);
+  ctx.state.store(ContextState::Detached, std::memory_order_release);
+  // Shared contexts have several channels; the idle probe used by
+  // inter-application swap only applies to exclusive contexts.
+  if (!shared_) ctx.channel.store(channel_.get(), std::memory_order_release);
 }
 
-void Runtime::offload_proxy_loop(transport::MessageChannel& client,
-                                 transport::MessageChannel& peer) {
-  // Strict request/reply protocol: relay one message at a time.
-  while (auto msg = client.receive()) {
-    const bool was_goodbye = msg->op == Opcode::Goodbye;
-    obs::SpanScope sp("offload-hop", "offload", obs::kRuntimePid,
-                      obs::kOffloadTidBase + msg->connection.value, 0,
-                      msg->payload.size());
-    if (!peer.send(std::move(*msg))) break;
-    auto reply = peer.receive();
-    if (!reply.has_value()) break;
-    client.send(std::move(*reply));
-    if (was_goodbye) break;
+void Runtime::Session::serve(const Message& msg) {
+  Context& ctx = *ctx_;
+  if (msg.op == Opcode::Goodbye) {
+    // A migrated context's teardown must reach the target too, or its
+    // replica would linger there forever.
+    if (ctx.migrated.load(std::memory_order_seq_cst)) {
+      (void)rt_.forward_migrated(ctx, *channel_, msg);
+    }
+    channel_->send(transport::make_reply(msg.connection, Status::Ok));
+    close();
+    return;
   }
+  if (msg.op == Opcode::QueryLoad) {
+    // Handled outside handle(): a subscription (interval > 0) takes over
+    // the connection -- the daemon streams LoadReport frames on it until
+    // it closes, and nothing else is spoken.
+    if ((ctx.caps.load(std::memory_order_acquire) & protocol::caps::kQueryLoad) == 0) {
+      channel_->send(transport::make_reply(msg.connection, Status::ErrorNotSupported));
+      return;
+    }
+    const auto interval_ns = transport::decode_query_load(msg.payload);
+    if (!interval_ns) {
+      channel_->send(transport::make_reply(msg.connection, interval_ns.status()));
+      return;
+    }
+    channel_->send(transport::make_reply(msg.connection, Status::Ok,
+                                         transport::encode_load(rt_.load_snapshot())));
+    if (interval_ns.value() > 0) {
+      phase_ = Phase::Subscribed;
+      subscription_ = Subscription{msg.connection, vt::Duration(interval_ns.value())};
+    }
+    return;
+  }
+  Message out = [&] {
+    CallInFlight in_flight(ctx);
+    return ctx.migrated.load(std::memory_order_seq_cst) ? rt_.forward_migrated(ctx, *channel_, msg)
+                                                        : rt_.handle(ctx, *channel_, msg);
+  }();
+  channel_->send(std::move(out));
+}
+
+void Runtime::Session::proxy(Message msg) {
+  // Strict request/reply: each call relays one message and its reply.
+  const bool goodbye = msg.op == Opcode::Goodbye;
+  obs::SpanScope hop("offload-hop", "offload", obs::kRuntimePid,
+                     obs::kOffloadTidBase + msg.connection.value, 0, msg.payload.size());
+  std::optional<Message> reply;
+  if (peer_->send(std::move(msg))) reply = peer_->receive();
+  if (!reply.has_value()) {
+    close();
+    return;
+  }
+  channel_->send(std::move(*reply));
+  if (goodbye) close();
+}
+
+void Runtime::Session::start_pump() {
+  const Subscription sub = *std::exchange(subscription_, std::nullopt);
+  {
+    std::scoped_lock lk(mu_);
+    ++active_;  // the pump holds the session until it stops
+  }
+  std::unique_lock lk(rt_.mu_);
+  rt_.threads_.emplace_back(rt_.rt_->machine().domain(), [this, sub] {
+    {
+      obs::ScopedTraceContext scoped_trace(trace_, &trace_ordinal_);
+      rt_.heartbeat_loop(*channel_, sub.conn, sub.interval);
+    }
+    close();
+    leave();
+  });
+}
+
+void Runtime::Session::teardown() {
+  {
+    // The closing thread may be unattached (a test's main thread, ~Runtime),
+    // and the context lock below waits in virtual time.
+    std::optional<vt::AttachGuard> attach;
+    if (vt::Domain::current() == nullptr) attach.emplace(rt_.rt_->machine().domain());
+    obs::ScopedTraceContext scoped_trace(trace_, &trace_ordinal_);
+    if (peer_ != nullptr) {
+      offload_span_.reset();
+      peer_->close();
+    }
+    // The last connection of the context releases its binding and frees
+    // its memory (a shared CUDA 4 context outlives individual threads).
+    if (ctx_ != nullptr && ctx_->connection_refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      Context& ctx = *ctx_;
+      rt_.scheduler_->release(ctx);
+      {
+        std::scoped_lock ctx_lock(ctx.lock);
+        ctx.channel.store(nullptr, std::memory_order_release);
+        // A migrated context's memory left with the commit; remove_context
+        // tolerates the second call. The forwarding channel closes here --
+        // the target sees the disconnect and tears the replica down.
+        if (ctx.fwd != nullptr) {
+          ctx.fwd->close();
+          ctx.fwd.reset();
+        }
+        rt_.mm_->remove_context(ctx.id);
+      }
+      ctx.state.store(ContextState::Done, std::memory_order_release);
+      obs::emit_instant("disconnect", "conn", obs::kRuntimePid, ctx.id.value, ctx.id.value);
+      rt_.contexts_.take(ctx.id);
+      if (shared_) {
+        std::unique_lock lk(rt_.mu_);
+        rt_.app_contexts_.erase(app_id_);
+      }
+    }
+    channel_->close();
+    std::unique_lock lk(rt_.mu_);
+    --rt_.open_connections_;
+    rt_.drained_cv_.notify_all();
+  }
+  // Last: once finished, the session may be freed under any caller.
+  finished_.store(true, std::memory_order_release);
 }
 
 Message Runtime::forward_migrated(Context& ctx, transport::MessageChannel& channel,
@@ -996,7 +1240,10 @@ Message Runtime::handle(Context& ctx, transport::MessageChannel& channel, const 
 
   switch (msg.op) {
     // ---- Registration: issued eagerly, before any binding exists. -----------
+    // Under the context lock: threads of a CUDA-4 application register
+    // into their shared context concurrently.
     case Opcode::RegisterFatBinary: {
+      const auto ctx_lock = lock_context(ctx.lock);
       const u64 module = ctx.next_module++;
       ctx.modules.insert(module);
       WireWriter w;
@@ -1005,13 +1252,16 @@ Message Runtime::handle(Context& ctx, transport::MessageChannel& channel, const 
     }
     case Opcode::UnregisterFatBinary: {
       const u64 module = r.get<u64>();
+      const auto ctx_lock = lock_context(ctx.lock);
       return reply(ctx.modules.erase(module) != 0 ? Status::Ok : Status::ErrorInvalidValue);
     }
     case Opcode::RegisterFunction: {
       const u64 module = r.get<u64>();
       const u64 handle = r.get<u64>();
       const std::string name = r.get_string();
-      if (!r.ok() || ctx.modules.count(module) == 0) return reply(Status::ErrorInvalidValue);
+      if (!r.ok()) return reply(Status::ErrorInvalidValue);
+      const auto ctx_lock = lock_context(ctx.lock);
+      if (ctx.modules.count(module) == 0) return reply(Status::ErrorInvalidValue);
       ctx.functions[handle] = name;
       return reply(Status::Ok);
     }
@@ -1147,11 +1397,8 @@ Message Runtime::handle(Context& ctx, transport::MessageChannel& channel, const 
       }
       return reply(Status::Ok);
     }
-    case Opcode::GetLastError: {
-      const Status s = ctx.last_error;
-      ctx.last_error = Status::Ok;
-      return transport::make_reply(conn, s);
-    }
+    case Opcode::GetLastError:
+      return transport::make_reply(conn, ctx.last_error.exchange(Status::Ok));
 
     // ---- Live migration (target side; protocol v4) ---------------------------
     case Opcode::MigrateChunk: {
@@ -1188,7 +1435,7 @@ bool Runtime::evict_one_victim(GpuId gpu, u64 needed, ContextId requester) {
     auto victim = find_context(vid);
     if (victim == nullptr || victim->pinned) continue;
     if (!victim->lock.try_lock()) continue;  // mid-call: refuses; never block
-    // Under the victim's lock its servicing thread cannot start a new call,
+    // Under the victim's lock its connection cannot start a new call,
     // so "bound but idle" is stable. A victim accepts when it is not in the
     // middle of a GPU phase: either unbound, or bound with no pending
     // requests on its connection (a CPU phase).
@@ -1215,7 +1462,7 @@ bool Runtime::evict_one_victim(GpuId gpu, u64 needed, ContextId requester) {
 
 bool Runtime::preempt_context(ContextId id) {
   // Mirrors the evict_one_victim discipline: never block on a busy victim
-  // (its servicing thread yields at the kernel boundary instead, via
+  // (its call in progress yields at the kernel boundary instead, via
   // Scheduler::quantum_expired), and do all memory work under the
   // ContextLock so the swap cannot race a call.
   auto victim = find_context(id);
@@ -1243,9 +1490,11 @@ Status Runtime::do_launch(Context& ctx, transport::MessageChannel& channel,
                           const std::vector<sim::KernelArg>& args) {
   // The dispatcher validated registrations long before binding; a launch of
   // an unregistered symbol never reaches the device.
-  const bool registered =
-      std::any_of(ctx.functions.begin(), ctx.functions.end(),
-                  [&](const auto& kv) { return kv.second == name; });
+  const bool registered = [&] {
+    const auto ctx_lock = lock_context(ctx.lock);
+    return std::any_of(ctx.functions.begin(), ctx.functions.end(),
+                       [&](const auto& kv) { return kv.second == name; });
+  }();
   if (!registered) return Status::ErrorUnknownSymbol;
   const auto def = rt_->machine().kernels().find(name);
   if (def == nullptr) return Status::ErrorUnknownSymbol;

@@ -10,13 +10,19 @@
 // onto surviving devices; overload can be shed to a peer node daemon
 // (inter-node offloading).
 //
-// Threading model: each connection is served by its own thread; a call
-// locks only its context's ContextLock, the context table and per-context
-// page tables are sharded maps, counters are relaxed atomics, and the
-// daemon-wide mu_ guards nothing but connection bookkeeping and the CUDA-4
-// app-context registry. Tenants contend only on the scheduler (when
-// competing for vGPUs) and on the device engines themselves -- never on a
-// daemon-wide lock, so a tenant queued for a vGPU cannot stall the others.
+// Threading model: an in-process connection (connect, connect_with) costs
+// no daemon thread. Each request is served on the thread that sends it: the
+// channel's sink sleeps until the request's delivery instant, runs the
+// connection's Session and queues the reply with its own transit. Only a
+// channel without an in-process sender (serve_channel: unix sockets,
+// gpuvmd) gets a serving thread, and a heartbeat subscription a pump
+// thread. A call locks only its context's ContextLock, the context table
+// and per-context page tables are sharded maps, counters are relaxed
+// atomics, and the daemon-wide mu_ guards nothing but connection
+// bookkeeping and the CUDA-4 app-context registry. Tenants contend only on
+// the scheduler (when competing for vGPUs) and on the device engines
+// themselves -- never on a daemon-wide lock, so a tenant queued for a vGPU
+// cannot stall the others.
 #pragma once
 
 #include <atomic>
@@ -124,14 +130,15 @@ class Runtime {
   Runtime& operator=(const Runtime&) = delete;
 
   /// Creates a connected frontend endpoint (in-process transport with
-  /// local-socket costs) and starts serving its peer.
+  /// local-socket costs) whose requests are served on the sending thread.
   std::unique_ptr<transport::MessageChannel> connect();
 
   /// Same, with an explicit channel cost model (inter-node links pay
   /// network latency/bandwidth instead of local-socket costs).
   std::unique_ptr<transport::MessageChannel> connect_with(transport::ChannelCosts costs);
 
-  /// Serves an externally created channel (unix-socket server, peer node).
+  /// Serves an externally created channel (unix-socket server) on a thread
+  /// of its own.
   void serve_channel(std::unique_ptr<transport::MessageChannel> channel);
 
   /// Wires up inter-node offloading: `peer_factory` opens a channel to the
@@ -172,7 +179,9 @@ class Runtime {
   void publish_metrics() const;
 
   /// Blocks until all currently-open connections have finished (used by
-  /// tests and the batch harness between phases).
+  /// tests and the batch harness between phases). A connection finishes
+  /// when its channel closes, with or without a Goodbye; a heartbeat
+  /// subscription at its pump's next wakeup after that.
   void drain();
 
   /// Live-migrates context `id` to the peer daemon reached via `factory`
@@ -191,9 +200,15 @@ class Runtime {
   StatusOr<int> preempt_now();
 
  private:
-  void connection_loop(transport::MessageChannel& channel);
-  void offload_proxy_loop(transport::MessageChannel& client,
-                          transport::MessageChannel& peer);
+  /// One connection's state and per-message logic (runtime.cpp).
+  class Session;
+
+  /// Registers a session for `channel` (nullptr, channel closed, once the
+  /// daemon shuts down). Takes the sessions that have finished out of the
+  /// table into `finished`, for the caller to free outside mu_.
+  Session* open_session_locked(std::unique_ptr<transport::MessageChannel> channel,
+                               bool served_inline,
+                               std::vector<std::unique_ptr<Session>>& finished);
 
   /// Services a QueryLoad subscription: pushes a LoadReport every
   /// `interval` until the channel closes or the daemon shuts down. The
@@ -258,6 +273,11 @@ class Runtime {
   /// only -- never held across a dispatched call.
   mutable std::mutex mu_;
   std::map<u64, std::shared_ptr<Context>> app_contexts_;  // CUDA 4 mode
+  /// Every session not yet freed, with its server endpoint: an in-process
+  /// one is freed at the first connect after it finished, the others with
+  /// the daemon.
+  std::vector<std::unique_ptr<Session>> sessions_;
+  /// Serving threads (serve_channel) and heartbeat pumps.
   std::vector<vt::Thread> threads_;
   int open_connections_ = 0;
   vt::ConditionVariable drained_cv_;

@@ -54,12 +54,14 @@ void end_span(u64 parent) {
   if (t_trace.ctx.valid()) t_trace.ctx.parent_span = parent;
 }
 
-ScopedTraceContext::ScopedTraceContext(const TraceContext& ctx)
-    : prev_(t_trace.ctx), prev_ordinal_(t_trace.ordinal) {
+ScopedTraceContext::ScopedTraceContext(const TraceContext& ctx, u64* ordinal)
+    : prev_(t_trace.ctx), prev_ordinal_(t_trace.ordinal), ordinal_(ordinal) {
   set_current_trace(ctx);
+  if (ordinal_ != nullptr) t_trace.ordinal = *ordinal_;
 }
 
 ScopedTraceContext::~ScopedTraceContext() {
+  if (ordinal_ != nullptr) *ordinal_ = t_trace.ordinal;
   t_trace.ctx = prev_;
   t_trace.ordinal = prev_ordinal_;
 }

@@ -66,11 +66,15 @@ SpanIds begin_span();
 /// open parent.
 void end_span(u64 parent);
 
-/// Installs a context for a scope (job thread, daemon connection thread),
+/// Installs a context for a scope (job thread, daemon call or connection),
 /// restoring the previous context -- and its child ordinal -- on exit.
+/// Given `ordinal`, the scope resumes that child ordinal and stores it back
+/// on exit: a daemon connection served one call at a time, each on its
+/// caller's thread, then mints the ids one thread serving it throughout
+/// would, never the same id twice.
 class ScopedTraceContext {
  public:
-  explicit ScopedTraceContext(const TraceContext& ctx);
+  explicit ScopedTraceContext(const TraceContext& ctx, u64* ordinal = nullptr);
   ~ScopedTraceContext();
 
   ScopedTraceContext(const ScopedTraceContext&) = delete;
@@ -79,6 +83,7 @@ class ScopedTraceContext {
  private:
   TraceContext prev_;
   u64 prev_ordinal_;
+  u64* ordinal_;
 };
 
 }  // namespace gpuvm::obs

@@ -139,15 +139,24 @@ class Pipe {
         closed_ = true;
         cv_.notify_all();
       }
+      sink_ = std::move(sink);
     }
-    sink_ = std::move(sink);
     for (Entry& entry : backlog) to_sink(std::move(entry));
   }
 
   void close() {
-    std::unique_lock lk(mu_);
-    closed_ = true;
-    cv_.notify_all();
+    MessageChannel::Sink sink;
+    {
+      std::unique_lock lk(mu_);
+      if (closed_) return;
+      closed_ = true;
+      cv_.notify_all();
+      if (has_sink_) sink = sink_;
+    }
+    // Without sink_mu_: the closing thread may be inside a sink call
+    // already (a consumer closing its own channel), or another thread's
+    // call may be blocked in virtual time while holding it.
+    if (sink) sink(std::nullopt, dom_->now());
   }
 
   bool closed() const {
@@ -199,7 +208,7 @@ class Pipe {
   bool closed_ = false;
   bool has_sink_ = false;  // guarded by mu_; sends then bypass items_
   std::mutex sink_mu_;     // serializes sink calls against set_sink
-  MessageChannel::Sink sink_;  // guarded by sink_mu_
+  MessageChannel::Sink sink_;  // written under mu_ and sink_mu_, read under either
 };
 
 class LocalEndpoint : public MessageChannel {

@@ -4,8 +4,9 @@
 // implementation (make_local_pair) carries modeled latency and bandwidth so
 // that interception overhead (AF_UNIX hop, the paper's gVirtuS transport)
 // and inter-node links (TCP) cost virtual time like the real thing. Its
-// receiving side can also deliver through a sink callback (set_sink): a
-// consumer that only folds state then needs no thread of its own.
+// receiving side can also deliver through a sink callback (set_sink): the
+// consumer -- a directory folding heartbeats, a daemon serving a call --
+// then runs on the sending thread and needs no thread of its own.
 #pragma once
 
 #include <atomic>
@@ -23,8 +24,9 @@ namespace gpuvm::transport {
 class MessageChannel {
  public:
   /// Receives each incoming message on the *sending* thread, stamped with
-  /// the virtual instant the cost model delivers it at (see set_sink).
-  using Sink = std::function<void(Message msg, vt::TimePoint delivered_at)>;
+  /// the virtual instant the cost model delivers it at, and std::nullopt
+  /// once when the direction closes (see set_sink).
+  using Sink = std::function<void(std::optional<Message> msg, vt::TimePoint delivered_at)>;
 
   virtual ~MessageChannel() = default;
 
@@ -38,15 +40,23 @@ class MessageChannel {
   /// Hands incoming messages to `sink` instead of queueing them for
   /// receive(). Contract:
   ///   - the peer's send() calls the sink itself, after fault injection,
-  ///     outside the channel's queue lock, one call at a time; the sink must
-  ///     not block on virtual time and must not call back into the channel;
+  ///     outside the channel's queue lock, one call at a time, and returns
+  ///     when the sink does;
   ///   - `delivered_at` = send instant + latency + payload / bandwidth (+ the
   ///     FaultInjector's extra delay while degraded) -- possibly in the
   ///     future: the consumer decides when the message becomes visible;
+  ///   - the sink may block in virtual time, and the sender blocks with it
+  ///     (a daemon's service time); it may send on the reverse direction
+  ///     and close the channel, but must not detach itself;
+  ///   - the first close() of this direction calls the sink once with
+  ///     std::nullopt, on the closing thread and outside the channel's
+  ///     locks -- so also re-entrantly, when a sink closes its own channel;
   ///   - messages already queued when the sink attaches are handed to it
   ///     first, in order, before set_sink returns;
   ///   - an empty sink detaches: it waits for a call in progress to finish
-  ///     and closes this direction, so later sends return false.
+  ///     and closes this direction, so later sends return false. A detaching
+  ///     thread blocks on a plain mutex, so never detach while a call that
+  ///     may block in virtual time can be in progress: the clock would stall.
   /// Returns false when the channel cannot deliver to a sink (the default).
   virtual bool set_sink(Sink /*sink*/) { return false; }
 
@@ -57,6 +67,7 @@ class MessageChannel {
 
   /// True when at least one message is already queued/readable. The daemon
   /// uses this to detect an application's CPU phase (no pending requests).
+  /// Always false on a direction that delivers to a sink.
   virtual bool pending() const = 0;
 };
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cluster/torque.hpp"
+#include "core/frontend.hpp"
 
 namespace gpuvm::cluster {
 namespace {
@@ -122,6 +123,28 @@ TEST_F(ClusterTest, OffloadingRelievesTheOverloadedNode) {
   EXPECT_EQ(done.load(), 12);
   EXPECT_GT(cluster.total_offloaded(), 0u);
   EXPECT_GT(result.total_seconds, 0.0);
+}
+
+TEST_F(ClusterTest, AnOffloadedJobRunsNoDaemonThreadOnEitherNode) {
+  // node-b proxies every connection to node-a; both hops are served on the
+  // tenant's own thread.
+  Cluster cluster = make_cluster(1, /*offload_threshold=*/0);
+  cluster.enable_offloading();
+  const int before = dom_.attached_threads();
+  {
+    core::FrontendApi api(cluster.node(1).runtime().connect());
+    ASSERT_TRUE(api.connected());
+    ASSERT_EQ(api.register_kernels({"burn"}), Status::Ok);
+    auto ptr = api.malloc(1024);
+    ASSERT_TRUE(ptr.has_value());
+    EXPECT_EQ(dom_.attached_threads(), before);
+    ASSERT_EQ(api.launch("burn", {{1, 1, 1}, {64, 1, 1}}, {sim::KernelArg::dev(ptr.value())}),
+              Status::Ok);
+    EXPECT_EQ(dom_.attached_threads(), before);
+  }
+  EXPECT_EQ(dom_.attached_threads(), before);
+  EXPECT_EQ(cluster.node(1).runtime().stats().offloaded_connections, 1u);
+  EXPECT_EQ(cluster.node(0).runtime().stats().launches, 1u);
 }
 
 TEST_F(ClusterTest, OffloadingImprovesUnbalancedMakespan) {

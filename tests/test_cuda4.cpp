@@ -188,20 +188,18 @@ TEST_F(Cuda4Test, PeerTransferFallsBackToSwapWhenSourceDied) {
 }
 
 TEST_F(Cuda4Test, ThreadsSharingAContextContendOnItsLock) {
-  // Two threads of one application copy and launch concurrently on their
-  // shared context: one thread's call waits on the context lock while the
-  // other's holds it, and the daemon counts the contended acquisitions.
-  // (Registration runs first, one thread at a time: it writes the shared
-  // context's symbol tables without the context lock.)
+  // Two threads of one application register, copy and launch concurrently
+  // on their shared context: one thread's call waits on the context lock
+  // while the other's holds it, and the daemon counts the contended
+  // acquisitions.
   start(true);
   constexpr u64 kFloats = 1024;
   ConnectOptions options;
   options.application_id = 9;
   FrontendApi thread_a(runtime_->connect(), options);
   FrontendApi thread_b(runtime_->connect(), options);
-  ASSERT_EQ(thread_a.register_kernels({"addone"}), Status::Ok);
-  ASSERT_EQ(thread_b.register_kernels({"addone"}), Status::Ok);
   const auto worker = [&](FrontendApi& api, float base) {
+    ASSERT_EQ(api.register_kernels({"addone"}), Status::Ok);
     auto buf = api.malloc(kFloats * sizeof(float));
     ASSERT_TRUE(buf.has_value());
     for (int i = 0; i < 6; ++i) {

@@ -147,6 +147,42 @@ TEST_F(ProtocolTest, HugeCountsAndSizesGetErrorReplies) {
   resume.put<u64>(1u << 20);  // function count
   EXPECT_EQ(call(*ch, Opcode::MigrateResume, resume.take()), Status::ErrorProtocol);
 
+  // Sizes no swap area can hold: from 2^63 on, sizing one threw
+  // length_error instead of failing the allocation.
+  for (const u64 size : {1ull << 63, ~0ull}) {
+    WireWriter w;
+    w.put<u64>(size);
+    EXPECT_EQ(call(*ch, Opcode::Malloc, w.take()), Status::ErrorSwapAllocation) << size;
+  }
+  // One migrated entry of size 2^64-1: as a round-0 image entry, and as a
+  // new entry in a round-1 delta.
+  const auto entry = [](WireWriter& w, u64 vptr) {
+    w.put<u64>(vptr);
+    w.put<u64>(~0ull);  // size
+    w.put<u8>(0);       // EntryType::Linear
+    w.put<u8>(0);       // not a nested member
+    w.put<u64>(0);      // nested references
+  };
+  const auto chunk = [&](u32 round, std::vector<u8> image) {
+    transport::MigrateChunkPayload payload;
+    payload.round = round;
+    payload.image = std::move(image);
+    return call(*ch, Opcode::MigrateChunk, transport::encode_migrate_chunk(payload));
+  };
+  WireWriter image;
+  image.put<u32>(0x6d766367);  // image magic "gcvm"
+  image.put<u32>(3);           // image version
+  image.put<u64>(1);           // entries
+  entry(image, 1ull << 40);
+  EXPECT_EQ(chunk(0, image.take()), Status::ErrorSwapAllocation);
+  WireWriter delta;
+  delta.put<u32>(0x6c646d67);  // delta magic "gmdl"
+  delta.put<u32>(1);           // delta version
+  delta.put<u64>(0);           // freed entries
+  delta.put<u64>(1);           // dirty entries
+  entry(delta, 1ull << 40);
+  EXPECT_EQ(chunk(1, delta.take()), Status::ErrorSwapAllocation);
+
   // The daemon survived, and the connection still serves.
   WireWriter w;
   w.put<u64>(64);

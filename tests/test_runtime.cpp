@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "core/frontend.hpp"
 #include "sim/machine.hpp"
+#include "transport/channel.hpp"
 
 namespace gpuvm::core {
 namespace {
@@ -330,6 +332,115 @@ TEST_F(RuntimeTest, SynchronizeAndGoodbyeCleanUp) {
   runtime_->drain();
   // Context memory was reclaimed on disconnect.
   EXPECT_EQ(machine_.gpu(machine_.all_gpus()[0])->used_bytes(), 0u);
+}
+
+/// The two ways a Runtime serves a connection: on the sending thread (an
+/// in-process channel from connect()) or on a thread of its own
+/// (serve_channel, as for a unix socket).
+enum class Driver { Inline, Thread };
+
+class RuntimeDriverTest : public RuntimeTest, public ::testing::WithParamInterface<Driver> {
+ protected:
+  std::unique_ptr<transport::MessageChannel> open_channel() {
+    if (GetParam() == Driver::Inline) return runtime_->connect();
+    auto [client, server] =
+        transport::make_local_pair(dom_, transport::ChannelCosts::local_socket());
+    runtime_->serve_channel(std::move(server));
+    return std::move(client);
+  }
+
+  GpuId gpu() const { return machine_.all_gpus()[0]; }
+};
+
+INSTANTIATE_TEST_SUITE_P(Drivers, RuntimeDriverTest,
+                         ::testing::Values(Driver::Inline, Driver::Thread),
+                         [](const auto& info) {
+                           return info.param == Driver::Inline ? "inline" : "thread";
+                         });
+
+TEST_P(RuntimeDriverTest, ClosingWithoutGoodbyeReleasesTheVgpuAndMemory) {
+  RuntimeConfig config;
+  config.scheduler.vgpus_per_device = 1;
+  start(config);
+  {
+    auto channel = open_channel();
+    transport::MessageChannel* raw = channel.get();
+    FrontendApi api(std::move(channel));
+    ASSERT_EQ(api.register_kernels({"addone"}), Status::Ok);
+    auto ptr = api.malloc(64 * sizeof(float));
+    ASSERT_TRUE(ptr.has_value());
+    ASSERT_EQ(api.launch("addone", {{1, 1, 1}, {64, 1, 1}},
+                         {sim::KernelArg::dev(ptr.value()), sim::KernelArg::i64v(64)}),
+              Status::Ok);  // binds the only vGPU
+    raw->close();  // the destructor finds the channel closed: no Goodbye
+  }
+  runtime_->drain();
+  // Only the vGPU's own CUDA context is left on the device.
+  EXPECT_EQ(machine_.gpu(gpu())->used_bytes(), rt_->context_reservation_bytes());
+  run_app(0.0, 1);  // a second tenant binds the only vGPU
+}
+
+TEST_P(RuntimeDriverTest, ACallThatThrowsClosesOnlyItsConnection) {
+  sim::KernelDef boom;
+  boom.name = "boom";
+  boom.body = [](sim::KernelExecContext&) -> Status {
+    throw std::runtime_error("bug in a kernel body");
+  };
+  machine_.kernels().add(boom);
+  RuntimeConfig config;
+  config.scheduler.vgpus_per_device = 1;
+  start(config);
+  {
+    FrontendApi api(open_channel());
+    ASSERT_EQ(api.register_kernels({"boom"}), Status::Ok);
+    auto ptr = api.malloc(64);
+    ASSERT_TRUE(ptr.has_value());
+    EXPECT_EQ(api.launch("boom", {{1, 1, 1}, {16, 1, 1}}, {sim::KernelArg::dev(ptr.value())}),
+              Status::ErrorProtocol);
+    // The daemon closed the connection after the error reply.
+    EXPECT_EQ(api.malloc(64).status(), Status::ErrorConnectionClosed);
+  }
+  runtime_->drain();
+  EXPECT_EQ(machine_.gpu(gpu())->used_bytes(), rt_->context_reservation_bytes());
+  run_app(0.0, 2);  // a second tenant binds the only vGPU and completes
+}
+
+TEST_F(RuntimeTest, InProcessConnectionsRunNoDaemonThread) {
+  start();
+  const int before = dom_.attached_threads();
+  FrontendApi api(runtime_->connect());
+  ASSERT_TRUE(api.connected());
+  EXPECT_EQ(dom_.attached_threads(), before);
+  ASSERT_EQ(api.register_kernels({"addone"}), Status::Ok);
+  auto ptr = api.malloc(64 * sizeof(float));
+  ASSERT_TRUE(ptr.has_value());
+  EXPECT_EQ(dom_.attached_threads(), before);
+  ASSERT_EQ(api.launch("addone", {{1, 1, 1}, {64, 1, 1}},
+                       {sim::KernelArg::dev(ptr.value()), sim::KernelArg::i64v(64)}),
+            Status::Ok);
+  EXPECT_EQ(dom_.attached_threads(), before);
+}
+
+TEST_F(RuntimeTest, EachCallCostsExactlyItsTransitsAndItsService) {
+  start();
+  FrontendApi api(runtime_->connect());
+  ASSERT_EQ(api.register_kernels({"addone"}), Status::Ok);
+  const vt::Duration hop = transport::ChannelCosts::local_socket().latency;  // 20 us
+
+  vt::TimePoint t0 = dom_.now();
+  auto ptr = api.malloc(64 * sizeof(float));
+  ASSERT_TRUE(ptr.has_value());
+  EXPECT_EQ((dom_.now() - t0).count(), (2 * hop).count());  // 40,000 ns
+
+  const auto launch = [&] {
+    return api.launch("addone", {{1, 1, 1}, {256, 1, 1}},
+                      {sim::KernelArg::dev(ptr.value()), sim::KernelArg::i64v(64)});
+  };
+  ASSERT_EQ(launch(), Status::Ok);  // binds the vGPU and materializes the buffer
+  t0 = dom_.now();
+  ASSERT_EQ(launch(), Status::Ok);  // bound and resident: transits plus the kernel
+  // The kernel's modeled time on test_gpu: 1 us launch overhead plus 40 ns.
+  EXPECT_EQ((dom_.now() - t0).count(), (2 * hop).count() + 1040);  // 41,040 ns
 }
 
 class MigrationTest : public ::testing::Test {

@@ -243,8 +243,9 @@ TEST(LocalChannel, SinkGetsEachMessageStampedWithItsDeliveryInstant) {
   dom.sleep_for(vt::from_micros(10));
   ASSERT_TRUE(a->send(make_msg(Opcode::LoadReport, 2)));
   std::vector<std::pair<u64, vt::TimePoint>> got;
-  ASSERT_TRUE(b->set_sink([&](Message msg, vt::TimePoint at) {
-    got.emplace_back(msg.connection.value, at);
+  ASSERT_TRUE(b->set_sink([&](std::optional<Message> msg, vt::TimePoint at) {
+    ASSERT_TRUE(msg.has_value());
+    got.emplace_back(msg->connection.value, at);
   }));
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0], std::make_pair(u64{1}, transit(1000)));
@@ -272,6 +273,64 @@ TEST(LocalChannel, SinkGetsEachMessageStampedWithItsDeliveryInstant) {
   ASSERT_TRUE(b->set_sink({}));
   EXPECT_FALSE(a->send(make_msg(Opcode::LoadReport, 5)));
   EXPECT_EQ(got.size(), 4u);
+}
+
+TEST(LocalChannel, SinkServesOnTheSenderAndHearsTheFirstCloseOnce) {
+  vt::Domain dom;
+  vt::AttachGuard attach(dom);
+  const ChannelCosts costs = ChannelCosts::local_socket();
+  auto [a, b] = make_local_pair(dom, costs);
+  MessageChannel* server = b.get();
+  std::vector<u64> served;
+  int closes = 0;
+  ASSERT_TRUE(b->set_sink([&](std::optional<Message> msg, vt::TimePoint at) {
+    if (!msg.has_value()) {
+      ++closes;
+      return;
+    }
+    // A serving sink: it waits for the delivery instant, replies on the
+    // reverse direction and may close its own channel.
+    dom.sleep_until(at);
+    served.push_back(msg->connection.value);
+    EXPECT_TRUE(server->send(make_msg(Opcode::Goodbye, msg->connection.value)));
+    if (msg->op == Opcode::Goodbye) server->close();
+  }));
+
+  // The sender blocks in the sink until the request is served.
+  ASSERT_TRUE(a->send(make_msg(Opcode::Malloc, 1)));
+  EXPECT_EQ(dom.now(), costs.latency);
+  EXPECT_FALSE(b->pending());
+  auto reply = a->receive();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->connection.value, 1u);
+  EXPECT_EQ(dom.now(), 2 * costs.latency);
+
+  // Closing from inside the call tells the sink once, re-entrantly, and the
+  // reply queued before the close still drains.
+  ASSERT_TRUE(a->send(make_msg(Opcode::Goodbye, 2)));
+  EXPECT_EQ(closes, 1);
+  EXPECT_FALSE(a->send(make_msg(Opcode::Malloc, 3)));
+  a->close();
+  EXPECT_EQ(closes, 1);
+  reply = a->receive();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->connection.value, 2u);
+  EXPECT_FALSE(a->receive().has_value());
+  EXPECT_EQ(served, (std::vector<u64>{1, 2}));
+}
+
+TEST(LocalChannel, ClosingTheSendingEndTellsTheSink) {
+  vt::Domain dom;
+  auto [a, b] = make_local_pair(dom);
+  int closes = 0;
+  ASSERT_TRUE(b->set_sink([&](std::optional<Message> msg, vt::TimePoint) {
+    if (!msg.has_value()) ++closes;
+  }));
+  a->close();  // unattached: the notification needs no clock
+  EXPECT_EQ(closes, 1);
+  b->close();
+  a.reset();
+  EXPECT_EQ(closes, 1);
 }
 
 class UnixSocketTest : public ::testing::Test {
