@@ -209,16 +209,11 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   // Load reports first: enable_offloading upgrades to directory-driven mesh
   // offload when the directory already exists. The subscriptions are opened
   // in node order before any tenant connects, pinning channel stream
-  // serials (and thus fault-injector drop decisions) across replays.
-  // hold_clock: once the heartbeat pumps run, the virtual clock would
-  // free-run in heartbeat steps while this (unattached) thread finishes
-  // setup -- a real-time race that shifts every actor's virtual start
-  // nondeterministically. The hold is released below, under our own
-  // HoldGuard.
-  if (config.enable_load_reports) {
-    cluster.enable_load_reports({}, transport::ChannelCosts::cluster_link(),
-                                /*hold_clock=*/true);
-  }
+  // serials (and thus fault-injector drop decisions) across replays. Their
+  // heartbeats never move the clock on their own, so it waits at the
+  // instant the last subscription completed while this (unattached) thread
+  // finishes setup.
+  if (config.enable_load_reports) cluster.enable_load_reports();
   if (config.enable_offloading) cluster.enable_offloading();
   cluster.register_kernel(chaos_step_kernel());
 
@@ -253,9 +248,6 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   std::vector<vt::Thread> threads;
   {
     vt::HoldGuard hold(dom);  // common virtual start time for all actors
-    // Our guard is in place: release the hold enable_load_reports left so
-    // the clock has been pinned continuously since the last subscription.
-    if (config.enable_load_reports) dom.unhold();
     threads.emplace_back(dom, [&engine] { engine.run(); });
     for (int i = 0; i < config.tenants; ++i) {
       TenantOutcome* out = &result.outcomes[static_cast<size_t>(i)];

@@ -17,19 +17,15 @@ void Cluster::register_kernel(const sim::KernelDef& def) {
   for (const auto& node : nodes_) node->machine().kernels().add(def);
 }
 
-void Cluster::enable_load_reports(DirectoryConfig config, transport::ChannelCosts costs,
-                                  bool hold_clock) {
+void Cluster::enable_load_reports(DirectoryConfig config, transport::ChannelCosts costs) {
   if (directory_ != nullptr) return;
   directory_ = std::make_unique<NodeDirectory>(*dom_, config);
   // The watch handshakes block on vt-aware channels, so they must run on a
   // thread attached to the domain (the caller usually is not). One watcher
   // thread, nodes in order: subscription channels are created at fixed
-  // stream serials, keeping chaos replays bit-deterministic. The optional
-  // hold is taken by the watcher itself -- i.e. at a deterministic virtual
-  // instant, before the free-running pumps can advance the clock again.
-  vt::Thread watcher(*dom_, [this, costs, hold_clock] {
+  // stream serials, keeping chaos replays bit-deterministic.
+  vt::Thread watcher(*dom_, [this, costs] {
     for (const auto& node : nodes_) directory_->watch(*node, costs);
-    if (hold_clock) dom_->hold();
   });
   watcher.join();
 }

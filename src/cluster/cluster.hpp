@@ -53,20 +53,13 @@ class Cluster {
   /// Starts the load-report control plane: a NodeDirectory watching every
   /// node over `costs` channels, fed by QueryLoad heartbeat subscriptions.
   /// Call after construction, before enable_offloading (the mesh consults
-  /// the directory) and before submitting work. Idempotent.
-  ///
-  /// Once the pumps run, virtual time advances in heartbeat steps whenever
-  /// every attached thread is asleep -- racing any *unattached* caller
-  /// still doing setup in real time. Callers that compare virtual
-  /// timestamps across runs (chaos determinism, benches) pass
-  /// `hold_clock = true`: the clock is then pinned at the deterministic
-  /// instant the last subscription completed, and the caller MUST call
-  /// domain().unhold() once its workload threads are spawned under a hold
-  /// of its own (forgetting it deadlocks the domain).
+  /// the directory) and before submitting work. Idempotent. The heartbeats
+  /// are clock-engine timers (vt::Timer): they never move the clock on
+  /// their own, so it stays at the instant the last subscription completed
+  /// until some thread sleeps.
   void enable_load_reports(DirectoryConfig config = {},
                            transport::ChannelCosts costs =
-                               transport::ChannelCosts::cluster_link(),
-                           bool hold_clock = false);
+                               transport::ChannelCosts::cluster_link());
 
   /// Tears the subscriptions down (channels closed, sinks detached).
   /// Must run before draining or destroying the node runtimes when load

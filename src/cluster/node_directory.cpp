@@ -96,7 +96,8 @@ void NodeDirectory::watch(Node& node, transport::ChannelCosts costs) {
     std::scoped_lock lock(mu_);
     entries_[node.id().value] = std::move(entry);
   }
-  // From here on the daemon's pump hands each report to deliver() itself.
+  // From here on the daemon's heartbeat timer hands each report to
+  // deliver() itself.
   // A closing link needs no action: the node turns suspect once its
   // reports stop.
   const NodeId id = node.id();
@@ -156,7 +157,8 @@ void NodeDirectory::stop() {
     }
   }
   // Outside mu_: detaching waits for a delivery in progress, which takes
-  // mu_. Closing the client ends lets the daemon-side heartbeat pumps exit.
+  // mu_, and closing the client end cancels the daemon's heartbeat timer,
+  // waiting out a running tick, which takes it too.
   for (const auto& channel : channels) {
     channel->close();
     channel->set_sink({});

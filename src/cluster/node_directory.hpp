@@ -4,11 +4,13 @@
 // directory opens a client channel to each node daemon, performs the
 // protocol handshake, and -- when the peer negotiated caps::kQueryLoad --
 // subscribes to periodic LoadReport pushes, each stamped with the daemon's
-// virtual time. The directory runs no thread of its own: the daemon's pump
-// hands each report to a channel sink (MessageChannel::set_sink) at its
-// send instant, stamped with its modeled delivery instant, and every reader
-// first folds the reports whose delivery instant has passed. Lock order:
-// the channel's sink mutex, then mu_.
+// virtual time. The directory runs no thread of its own: the daemon's
+// heartbeat timer hands each report to a channel sink
+// (MessageChannel::set_sink) at its send instant, stamped with its modeled
+// delivery instant, and every reader first folds the reports whose delivery
+// instant has passed. Lock order: the channel's sink mutex, then mu_. A
+// heartbeat tick may run on any thread that advances the clock, so mu_ is a
+// leaf lock: never held across a vt sleep, wait or join.
 //
 // Consumers:
 //   - TorqueScheduler dispatch policies rank candidates by LoadSnapshot
@@ -128,7 +130,7 @@ class NodeDirectory {
     std::shared_ptr<transport::MessageChannel> channel;
   };
 
-  /// The subscription sink, on the daemon's pump thread.
+  /// The subscription sink, inside the daemon's heartbeat tick.
   void deliver(NodeId id, transport::Message msg, vt::TimePoint at);
   /// Folds the reports of `e` whose delivery instant has passed.
   void fold_locked(Entry& e) const;

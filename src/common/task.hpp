@@ -25,6 +25,12 @@
 // TaskRunner composes with vt::Thread users in the same domain: the pump is
 // just another attached thread. Existing thread-per-actor code keeps
 // working unchanged; hot populations migrate to tasks.
+//
+// Periodic work that never blocks needs not even the pump: a vt::Timer
+// (common/vt.hpp) is run by the clock engine itself, on whichever thread
+// advances the clock, at no thread and no context switch per firing. The
+// daemon's heartbeats are timers; this pump, a thread that parks until its
+// next deadline, could become one too for callbacks that never block.
 #pragma once
 
 #include <atomic>

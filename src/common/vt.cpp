@@ -20,7 +20,14 @@ Domain::Domain(Mode mode, double real_scale)
     : mode_(mode), real_scale_(real_scale), real_start_(std::chrono::steady_clock::now()) {}
 
 Domain::~Domain() {
-  std::scoped_lock lock(mu_);
+  std::unique_lock lock(mu_);
+  if (timer_thread_.joinable()) {
+    stopping_ = true;
+    timer_cv_.notify_one();
+    lock.unlock();
+    timer_thread_.join();
+    lock.lock();
+  }
   if (attached_ != 0) {
     log::error("vt::Domain destroyed with %d threads still attached", attached_);
   }
@@ -56,9 +63,9 @@ void Domain::attach_current_thread() {
 void Domain::detach_current_thread() {
   tl_current_domain = nullptr;
   if (mode_ == Mode::ScaledReal) return;
-  std::scoped_lock lock(mu_);
+  std::unique_lock lock(mu_);
   --attached_;
-  dec_activity_locked();
+  dec_activity_locked(lock);
 }
 
 int Domain::attached_threads() const {
@@ -112,7 +119,7 @@ void Domain::park_locked(std::unique_lock<std::mutex>& lock, Sleeper& s) {
   }
   // Leave the running set; if we were the last activity, advance inline --
   // in which case the wait below returns immediately (due already set).
-  dec_activity_locked();
+  dec_activity_locked(lock);
   s.wake.wait(lock, [&] { return s.due; });
   // The advance (or a cancel) popped our queue entry and transferred its
   // wake-in-flight activity credit to us; we resume running with it, so net
@@ -128,42 +135,102 @@ void Domain::hold() {
 
 void Domain::unhold() {
   if (mode_ == Mode::ScaledReal) return;
-  std::scoped_lock lock(mu_);
+  std::unique_lock lock(mu_);
   --holds_;
-  dec_activity_locked();
+  dec_activity_locked(lock);
 }
 
-void Domain::maybe_advance_locked() {
-  if (activity_.load(std::memory_order_acquire) != 0) return;
-  const std::optional<i64> earliest = queue_.earliest();
-  if (!earliest) return;
-  // Quiescent: jump the clock to the earliest deadline and wake every due
-  // sleeper. Each woken sleeper counts as a wake in flight (folded into
-  // activity_) until it resumes, so the clock cannot skip past it.
-  const TimePoint target = std::max(now_, TimePoint{*earliest});
-  due_scratch_.clear();
-  queue_.pop_due(target.count(), due_scratch_);
-  assert(!due_scratch_.empty());
-  now_ = target;
-  now_mirror_.store(now_.count(), std::memory_order_release);
-  advances_.fetch_add(1, std::memory_order_relaxed);
-  dispatched_.fetch_add(due_scratch_.size(), std::memory_order_relaxed);
-  activity_.fetch_add(static_cast<i64>(due_scratch_.size()), std::memory_order_relaxed);
-  for (const auto& entry : due_scratch_) {
-    entry.value->due = true;
-    entry.value->wake.notify_one();
+void Domain::maybe_advance_locked(std::unique_lock<std::mutex>& lock) {
+  while (activity_.load(std::memory_order_acquire) == 0) {
+    const std::optional<i64> earliest = queue_.earliest();
+    if (!earliest) return;  // timers never move the clock on their own
+    if (!timers_.empty() && timers_.begin()->first.first <= *earliest) {
+      // A timer runs at its own instant, before the sleepers due then; its
+      // callback pins the clock, and whatever it woke or started keeps it
+      // pinned at that instant once it returns.
+      fire_locked(lock);
+      continue;
+    }
+    // Quiescent: jump the clock to the earliest deadline and wake every due
+    // sleeper. Each woken sleeper counts as a wake in flight (folded into
+    // activity_) until it resumes, so the clock cannot skip past it.
+    const TimePoint target = std::max(now_, TimePoint{*earliest});
+    due_scratch_.clear();
+    queue_.pop_due(target.count(), due_scratch_);
+    assert(!due_scratch_.empty());
+    now_ = target;
+    now_mirror_.store(now_.count(), std::memory_order_release);
+    advances_.fetch_add(1, std::memory_order_relaxed);
+    dispatched_.fetch_add(due_scratch_.size(), std::memory_order_relaxed);
+    activity_.fetch_add(static_cast<i64>(due_scratch_.size()), std::memory_order_relaxed);
+    for (const auto& entry : due_scratch_) {
+      entry.value->due = true;
+      entry.value->wake.notify_one();
+    }
+    return;
+  }
+}
+
+void Domain::fire_locked(std::unique_lock<std::mutex>& lock) {
+  const auto first = timers_.begin();
+  Timer* timer = first->second;
+  const TimePoint at{first->first.first};
+  timers_.erase(first);
+  timer->key_.reset();
+  if (mode_ == Mode::Virtual) {
+    if (at > now_) {
+      now_ = at;
+      now_mirror_.store(now_.count(), std::memory_order_release);
+      advances_.fetch_add(1, std::memory_order_relaxed);
+    }
+    activity_.fetch_add(1, std::memory_order_relaxed);  // the callback runs
+  }
+  dispatched_.fetch_add(1, std::memory_order_relaxed);
+  timer->running_on_ = std::this_thread::get_id();
+  lock.unlock();
+  // The callback sees the domain as its thread's own (now() is exact, a
+  // notify counts as an attached thread's) for its duration only.
+  Domain* const previous = tl_current_domain;
+  tl_current_domain = this;
+  [&]() noexcept { timer->callback_(); }();
+  tl_current_domain = previous;
+  lock.lock();
+  timer->running_on_ = std::thread::id{};
+  if (timer->cancelling_ && timer->key_) {  // a cancel waits: the re-arm is void
+    timers_.erase(*timer->key_);
+    timer->key_.reset();
+  }
+  timer_done_.notify_all();
+  if (mode_ == Mode::Virtual) activity_.fetch_sub(1, std::memory_order_acq_rel);
+}
+
+void Domain::timer_loop() {
+  tl_current_domain = this;
+  std::unique_lock lock(mu_);
+  while (!stopping_) {
+    if (timers_.empty()) {
+      timer_cv_.wait(lock);
+      continue;
+    }
+    const Duration ahead = TimePoint{timers_.begin()->first.first} - now();
+    if (ahead > Duration::zero()) {
+      timer_cv_.wait_for(lock, std::chrono::nanoseconds{static_cast<std::int64_t>(
+                                   static_cast<double>(ahead.count()) * real_scale_)});
+      continue;
+    }
+    fire_locked(lock);
   }
 }
 
 void Domain::dec_activity() {
   if (activity_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::scoped_lock lock(mu_);
-    maybe_advance_locked();
+    std::unique_lock lock(mu_);
+    maybe_advance_locked(lock);
   }
 }
 
-void Domain::dec_activity_locked() {
-  if (activity_.fetch_sub(1, std::memory_order_acq_rel) == 1) maybe_advance_locked();
+void Domain::dec_activity_locked(std::unique_lock<std::mutex>& lock) {
+  if (activity_.fetch_sub(1, std::memory_order_acq_rel) == 1) maybe_advance_locked(lock);
 }
 
 void Domain::idle_begin() {
@@ -180,8 +247,8 @@ void Domain::idle_end(int consumed_wakes) {
     activity_.fetch_add(net, std::memory_order_relaxed);
   } else if (net < 0) {
     if (activity_.fetch_sub(-net, std::memory_order_acq_rel) == -net) {
-      std::scoped_lock lock(mu_);
-      maybe_advance_locked();
+      std::unique_lock lock(mu_);
+      maybe_advance_locked(lock);
     }
   }
 }
@@ -206,7 +273,7 @@ std::string Domain::debug_state() const {
   std::ostringstream out;
   out << "vt::Domain{now=" << now_.count() << "ns attached=" << attached_
       << " activity=" << activity_.load(std::memory_order_relaxed) << " holds=" << holds_
-      << " sleepers=" << queue_.size();
+      << " sleepers=" << queue_.size() << " timers=" << timers_.size();
   if (const auto e = queue_.earliest()) out << " next_deadline=" << *e << "ns";
   out << " advances=" << advances_.load(std::memory_order_relaxed)
       << " dispatched=" << dispatched_.load(std::memory_order_relaxed) << "}";
@@ -271,6 +338,39 @@ void Alarm::cancel() {
   s->cancelled = true;
   dom_->activity_.fetch_add(1, std::memory_order_relaxed);
   s->wake.notify_one();
+}
+
+// ---- Timer ------------------------------------------------------------------
+
+Timer::Timer(Domain& dom, std::function<void()> callback)
+    : dom_(&dom), callback_(std::move(callback)) {}
+
+Timer::~Timer() { cancel(); }
+
+void Timer::arm(TimePoint at) {
+  std::scoped_lock lock(dom_->mu_);
+  if (key_) dom_->timers_.erase(*key_);
+  key_.emplace(at.count(), dom_->timer_seq_++);
+  dom_->timers_.emplace(*key_, this);
+  if (dom_->mode_ == Mode::ScaledReal) {
+    if (!dom_->timer_thread_.joinable()) {
+      dom_->timer_thread_ = std::thread([d = dom_] { d->timer_loop(); });
+    }
+    dom_->timer_cv_.notify_one();
+  }
+}
+
+void Timer::cancel() {
+  std::unique_lock lock(dom_->mu_);
+  if (running_on_ != std::thread::id{} && running_on_ != std::this_thread::get_id()) {
+    cancelling_ = true;
+    dom_->timer_done_.wait(lock, [&] { return running_on_ == std::thread::id{}; });
+    cancelling_ = false;
+  }
+  if (key_) {
+    dom_->timers_.erase(*key_);
+    key_.reset();
+  }
 }
 
 // ---- Thread / guards / ConditionVariable ------------------------------------

@@ -21,11 +21,18 @@
 // Internally the quiescence state is one atomic "activity" count
 // (running threads + holds + wakes in flight): the hot paths -- reading the
 // clock, condition-variable waits and notifies from attached threads --
-// never take the domain mutex, which now guards only the sleeper queue and
-// the advance itself. The sleeper queue is a two-level calendar queue /
-// timer wheel (common/calendar_queue.hpp), amortized O(1) per sleep; it
-// wakes same-deadline sleepers in insertion order, the determinism contract
-// test_vt checks against a std::multimap reference.
+// never take the domain mutex, which guards only the sleeper queue, the
+// armed timers and the advance itself. The sleeper queue is a two-level
+// calendar queue / timer wheel (common/calendar_queue.hpp), amortized O(1)
+// per sleep; it wakes same-deadline sleepers in insertion order, the
+// determinism contract test_vt checks against a std::multimap reference.
+//
+// Periodic work that never blocks (a heartbeat) needs no thread at all: a
+// vt::Timer is a one-shot, re-armable callback that the clock engine runs
+// itself. At quiescence the thread performing the advance runs every timer
+// due at or before the next sleeper's deadline, each at its own instant and
+// before the sleepers due at that instant wake; a timer never moves the
+// clock on its own (see Timer for the full contract).
 //
 // For simulations with very many logical actors (thousands of tenants,
 // millions of jobs) a thread per actor stops scaling; vt::TaskRunner
@@ -34,8 +41,9 @@
 // Domain only at distinct virtual instants.
 //
 // A Domain can instead run in ScaledReal mode, where sleeps map to real
-// nanosleep calls scaled by a factor; this is used as a cross-check that the
-// virtual clock does not distort experiment shapes.
+// nanosleep calls scaled by a factor and one Domain-owned real-time thread
+// runs the timers; this is used as a cross-check that the virtual clock does
+// not distort experiment shapes.
 //
 // Threads must attach before using vt primitives (see vt::Thread, which is
 // a jthread-like RAII wrapper that attaches on entry). Blocking on anything
@@ -87,13 +95,14 @@ enum class Mode {
 
 class ConditionVariable;
 class Alarm;
+class Timer;
 
 class Domain {
  public:
   /// Clock-engine counters (monotone since construction; lock-free reads).
   struct ClockStats {
     u64 advances = 0;           ///< quiescence advances performed
-    u64 events_dispatched = 0;  ///< sleepers woken + task callbacks executed
+    u64 events_dispatched = 0;  ///< sleepers woken + task and timer callbacks run
     u64 sleepers_peak = 0;      ///< peak concurrent sleeper-queue population
   };
 
@@ -154,6 +163,7 @@ class Domain {
   friend class ConditionVariable;
   friend class IdleGuard;
   friend class Alarm;
+  friend class Timer;
 
   struct Sleeper {
     TimePoint deadline{};
@@ -172,7 +182,8 @@ class Domain {
   // mu_ so a wake token cannot slip past an in-flight advance decision.
   std::atomic<i64> activity_{0};
 
-  // mu_ guards: queue_, now_, attached_, holds_, and the advance itself.
+  // mu_ guards: queue_, timers_, every Timer's state, now_, attached_,
+  // holds_, and the advance itself.
   mutable std::mutex mu_;
   Mode mode_;
   double real_scale_;
@@ -183,6 +194,17 @@ class Domain {
   int holds_ = 0;
   CalendarQueue<Sleeper*> queue_;
   std::vector<CalendarQueue<Sleeper*>::Entry> due_scratch_;  // advance working set
+
+  // Armed timers by (deadline ns, arm order): same-instant timers run in the
+  // order they were armed.
+  std::map<std::pair<i64, u64>, Timer*> timers_;
+  u64 timer_seq_ = 0;
+  std::condition_variable timer_done_;  // a callback returned (Timer::cancel)
+  // ScaledReal only: the thread that runs the timers, started by the first
+  // arm, and what wakes it (a new earliest timer, or ~Domain).
+  std::thread timer_thread_;
+  std::condition_variable timer_cv_;
+  bool stopping_ = false;
 
   std::atomic<u64> advances_{0};
   std::atomic<u64> dispatched_{0};
@@ -195,13 +217,22 @@ class Domain {
   // due.
   void park_locked(std::unique_lock<std::mutex>& lock, Sleeper& s);
 
-  // Called with mu_ held. If the domain is quiescent, advances the clock to
-  // the earliest deadline and wakes the due sleepers (popping them).
-  void maybe_advance_locked();
+  // Called with mu_ held (through `lock`). While the domain is quiescent,
+  // runs the timers due at or before the earliest sleeper's deadline (each
+  // at its own instant, mu_ released around the callback), then advances
+  // the clock to that deadline and wakes the due sleepers (popping them).
+  void maybe_advance_locked(std::unique_lock<std::mutex>& lock);
+
+  // Pops the earliest timer and runs its callback outside mu_, recording
+  // which thread runs it so Timer::cancel can wait it out.
+  void fire_locked(std::unique_lock<std::mutex>& lock);
+
+  // ScaledReal: body of timer_thread_.
+  void timer_loop();
 
   // activity_ decrements; an observed drop to zero triggers an advance.
-  void dec_activity();         // takes mu_ only on the zero transition
-  void dec_activity_locked();  // caller already holds mu_
+  void dec_activity();  // takes mu_ only on the zero transition
+  void dec_activity_locked(std::unique_lock<std::mutex>& lock);
 
   // ConditionVariable integration: a thread entering an idle wait leaves the
   // running set (and can trigger an advance); notifications register an
@@ -299,6 +330,54 @@ class Alarm {
   bool pending_cancel_ = false;
   std::mutex real_mu_;
   std::condition_variable real_cv_;
+};
+
+/// A one-shot, re-armable virtual-time timer that the clock engine runs
+/// itself -- periodic work without a thread of its own (a heartbeat re-arms
+/// from its callback). Contract:
+///   - who: in Virtual mode, the thread that performs the quiescence
+///     advance, attached or not; in ScaledReal mode, one Domain-owned
+///     real-time thread;
+///   - when: every timer due at or before the earliest sleeper's deadline
+///     runs at its own instant (now() == its deadline), before any sleeper
+///     due at that instant wakes; same-instant timers in arm order;
+///   - a timer never moves the clock on its own: while no thread sleeps,
+///     armed timers wait (a domain whose threads are all idle stays put);
+///   - the callback runs outside the domain mutex with the clock pinned --
+///     it counts as a running thread, so what it notifies, starts or sends
+///     happens at its instant;
+///   - so it must never block in virtual time (no sleep, no
+///     vt::ConditionVariable wait, no join) and must not throw, and it may
+///     take only locks that no thread holds across a vt sleep, a
+///     vt::ConditionVariable wait or a join: the advancing thread may be
+///     inside any of those, holding whatever its caller holds.
+class Timer {
+ public:
+  Timer(Domain& dom, std::function<void()> callback);
+  ~Timer();  ///< cancel()
+
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+
+  /// Arms the timer for virtual time `at` (a past instant runs at the next
+  /// advance), replacing any pending deadline. Thread-safe, also from the
+  /// callback itself.
+  void arm(TimePoint at);
+
+  /// Disarms. A callback running on another thread is waited out first, so
+  /// never cancel while holding a lock the callback takes; from inside the
+  /// callback, returns at once. A cancelled timer does not fire until it is
+  /// armed again.
+  void cancel();
+
+ private:
+  friend class Domain;
+  Domain* dom_;
+  std::function<void()> callback_;
+  // Guarded by dom_->mu_.
+  std::optional<std::pair<i64, u64>> key_;  ///< timers_ key while armed
+  std::thread::id running_on_{};           ///< set while the callback runs
+  bool cancelling_ = false;  ///< a cancel waits the callback out: no re-arm
 };
 
 /// RAII thread that attaches to a Domain for its whole body and joins on

@@ -101,6 +101,28 @@ bool resize_swap(std::vector<std::byte>& swap, u64 size) {
   return true;
 }
 
+/// Capacity of the machine's largest device, installed ever: a decoded
+/// checkpoint entry beyond it could never materialize on this node.
+u64 largest_device_bytes(const sim::SimMachine& machine) {
+  u64 largest = 0;
+  for (const GpuId id : machine.all_gpus()) {
+    if (const sim::SimGpu* dev = machine.gpu(id); dev != nullptr) {
+      largest = std::max(largest, dev->capacity_bytes());
+    }
+  }
+  return largest;
+}
+
+/// Vets one decoded image or delta entry before its swap area is sized: an
+/// entry larger than the largest device is refused with
+/// ErrorSwapAllocation, one whose address range wraps with `malformed`
+/// (the decoder's status for a bad frame).
+Status check_decoded_entry(VirtualPtr vptr, u64 size, u64 largest, Status malformed) {
+  if (size > largest) return Status::ErrorSwapAllocation;
+  if (vptr + size < vptr) return malformed;
+  return Status::Ok;
+}
+
 }  // namespace
 
 MemoryManager::MemoryManager(cudart::CudaRt& rt, Config config) : rt_(&rt), config_(config) {
@@ -1164,6 +1186,7 @@ Status MemoryManager::import_image(ContextId ctx, std::span<const u8> image) {
     return Status::ErrorCheckpointNotFound;
   }
   const u64 count = r.get<u64>();
+  const u64 largest = largest_device_bytes(rt_->machine());
   std::map<VirtualPtr, std::unique_ptr<PageTableEntry>> restored;
   u64 total_bytes = 0;
   u64 max_vptr_end = 0;
@@ -1171,6 +1194,11 @@ Status MemoryManager::import_image(ContextId ctx, std::span<const u8> image) {
     auto pte = std::make_unique<PageTableEntry>();
     pte->virtual_ptr = r.get<u64>();
     pte->size = r.get<u64>();
+    if (const Status s = check_decoded_entry(pte->virtual_ptr, pte->size, largest,
+                                             Status::ErrorCheckpointNotFound);
+        !ok(s)) {
+      return s;
+    }
     const u8 type = r.get<u8>();
     if (!valid_entry_type(type)) return Status::ErrorCheckpointNotFound;
     pte->type = static_cast<EntryType>(type);
@@ -1338,6 +1366,7 @@ Status MemoryManager::apply_migration_delta(ContextId ctx, std::span<const u8> d
   }
   const u64 count = r.get<u64>();
   if (!r.ok() || count > (1u << 24)) return Status::ErrorProtocol;
+  const u64 largest = largest_device_bytes(rt_->machine());
   u64 max_vptr_end = 0;
   for (u64 i = 0; i < count && r.ok(); ++i) {
     const VirtualPtr vptr = r.get<u64>();
@@ -1345,6 +1374,10 @@ Status MemoryManager::apply_migration_delta(ContextId ctx, std::span<const u8> d
     const u8 type = r.get<u8>();
     const bool is_nested_member = r.get<u8>() != 0;
     if (!r.ok() || !valid_entry_type(type)) return Status::ErrorProtocol;
+    if (const Status s = check_decoded_entry(vptr, size, largest, Status::ErrorProtocol);
+        !ok(s)) {
+      return s;
+    }
 
     PageTableEntry* pte = nullptr;
     if (const auto it = mem->entries.find(vptr); it != mem->entries.end()) {

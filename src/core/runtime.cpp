@@ -119,15 +119,24 @@ class CallInFlight {
 /// Calls arrive one at a time; on_close() may arrive from any thread, also
 /// re-entrantly from a call that closes its own channel. Whoever lets go of
 /// the session last -- the closer, the call in progress or the heartbeat
-/// pump -- tears it down, exactly once.
+/// timer -- tears it down, exactly once.
 class Runtime::Session {
  public:
   Session(Runtime& rt, std::unique_ptr<transport::MessageChannel> channel, bool served_inline)
       : rt_(rt), channel_(std::move(channel)), served_inline_(served_inline) {}
 
-  /// Detaching the sink waits out a sender still on its way out of a call,
-  /// so nothing refers to the session afterwards.
-  ~Session() { channel_->set_sink({}); }
+  /// Waits out the teardown of a subscription that ended inside a tick, then
+  /// detaches the sink, which waits out a sender still on its way out of a
+  /// call, so nothing refers to the session afterwards.
+  ~Session() {
+    vt::Thread ending;
+    {
+      std::scoped_lock lk(mu_);
+      ending = std::move(ending_);
+    }
+    if (ending.joinable()) ending.join();
+    channel_->set_sink({});
+  }
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -140,8 +149,10 @@ class Runtime::Session {
   /// serving thread's receive() already has).
   void deliver(Message msg, vt::TimePoint at);
 
-  /// The channel closed: tears the session down now, or when the call or
-  /// pump in progress lets go of it. Idempotent.
+  /// The channel closed: tears the session down now, or when the call in
+  /// progress lets go of it. A heartbeat timer is cancelled first (waiting
+  /// out a running tick), so the closer must hold no lock a tick takes.
+  /// Idempotent.
   void on_close();
 
  private:
@@ -152,7 +163,15 @@ class Runtime::Session {
   void open_context(const transport::HelloPayload& hello, u32 caps);
   void serve(const Message& msg);
   void proxy(Message msg);
-  void start_pump();
+
+  /// Arms the heartbeat timer once the subscribing call's trace scope has
+  /// handed the ordinal back; from then on the timer holds the session.
+  void start_heartbeat();
+  /// One heartbeat (the timer's callback, on whichever thread advances the
+  /// clock): samples, encodes and sends a LoadReport -- or retransmits a
+  /// dropped one -- and re-arms at its send instant plus the interval. It
+  /// never blocks and takes only leaf locks (vt::Timer's contract).
+  void tick();
 
   /// Closes the channel from the daemon's side; the session ends once the
   /// call in progress returns.
@@ -174,13 +193,23 @@ class Runtime::Session {
   obs::TraceContext trace_;
   u64 trace_ordinal_ = 0;
 
-  /// Subscribed: the heartbeat pump to start once the subscribing call's
-  /// trace scope has handed the ordinal back.
-  struct Subscription {
-    ConnectionId conn;
-    vt::Duration interval;
+  /// Subscribed: the heartbeat timer and what it carries from tick to tick.
+  struct Heartbeat {
+    Heartbeat(vt::Domain& dom, std::function<void()> tick, ConnectionId conn_,
+              vt::Duration interval_)
+        : conn(conn_), interval(interval_), timer(dom, std::move(tick)) {}
+
+    const ConnectionId conn;
+    const vt::Duration interval;
+    /// Queue-wait buckets at the previous report: each report's p50 covers
+    /// the waits observed since, not the daemon's lifetime.
+    std::vector<u64> prev_waits;
+    u64 seq = 0;
+    std::optional<Message> report;  ///< dropped on the wire, awaiting a retry
+    int drops = 0;                  ///< of `report` so far
+    vt::Timer timer;
   };
-  std::optional<Subscription> subscription_;
+  std::optional<Heartbeat> heartbeat_;
 
   /// Serving: the context (shared with other connections in CUDA-4 mode).
   std::shared_ptr<Context> ctx_;
@@ -191,10 +220,14 @@ class Runtime::Session {
   std::unique_ptr<transport::MessageChannel> peer_;
   std::optional<obs::SpanScope> offload_span_;
 
-  std::mutex mu_;  // guards active_ and closing_; never held across a call
-  int active_ = 0;  // calls in progress, plus the heartbeat pump
+  std::mutex mu_;  // guards the three below and ending_; never held across a call
+  int active_ = 0;  // calls in progress, plus the heartbeat timer
   bool closing_ = false;
+  bool timer_holds_ = false;  // the heartbeat timer still counts in active_
   std::atomic<bool> finished_{false};
+  /// A subscription that ends inside a tick closes and tears down on this
+  /// thread, started at the tick's instant: a tick must not block.
+  vt::Thread ending_;
 };
 
 Runtime::Runtime(cudart::CudaRt& rt, RuntimeConfig config)
@@ -237,8 +270,8 @@ Runtime::~Runtime() {
     sessions.swap(sessions_);
   }
   // Closing every channel tears its session down (a late client send()
-  // returns false) and ends its serving thread; heartbeat pumps stop at
-  // their next wakeup. Sessions are freed only once no thread can use them.
+  // returns false), ends its serving thread and cancels its heartbeat
+  // timer. Sessions are freed only once no thread can use them.
   for (const auto& session : sessions) session->channel().close();
   std::vector<vt::Thread> threads;
   {
@@ -348,17 +381,22 @@ void Runtime::set_node_identity(u64 id, std::string name) {
 }
 
 transport::LoadSnapshot Runtime::load_snapshot() const {
+  // Heartbeat ticks call this on whichever thread advances the clock, which
+  // may hold the scheduler's mu_ or this daemon's mu_ inside a wait: every
+  // read below is atomic or under a leaf lock (the scheduler's published
+  // counts, the context table's shards, the machine's and devices' locks).
+  const Scheduler::LoadCounts counts = scheduler_->load_counts();
   transport::LoadSnapshot snap;
   snap.node = node_id_;
   snap.vt_ns = rt_->machine().domain().now().count();
-  snap.pending_contexts = scheduler_->waiting_count();
-  snap.bound_contexts = scheduler_->bound_count();
+  snap.pending_contexts = counts.waiting;
+  snap.bound_contexts = counts.bound;
   snap.active_contexts = static_cast<int>(contexts_.size());
-  snap.vgpu_count = scheduler_->vgpu_count();
+  snap.vgpu_count = counts.vgpus;
   const obs::Histogram& waits = scheduler_->queue_wait_local();
   snap.queue_wait_p50_seconds =
       obs::histogram_quantile(waits.edges(), waits.bucket_counts(), 0.5);
-  for (const Scheduler::DeviceSlots& slots : scheduler_->device_slots()) {
+  for (const Scheduler::DeviceSlots& slots : counts.devices) {
     transport::DeviceLoad dev;
     dev.gpu = slots.gpu.value;
     dev.vgpus = slots.vgpus;
@@ -384,34 +422,6 @@ transport::LoadSnapshot Runtime::load_snapshot() const {
               return a.ctx < b.ctx;
             });
   return snap;
-}
-
-void Runtime::heartbeat_loop(transport::MessageChannel& channel, ConnectionId conn,
-                             vt::Duration interval) {
-  vt::Domain& dom = rt_->machine().domain();
-  // "Recent" p50: each report covers the queue waits observed since the
-  // previous one, not the daemon's lifetime.
-  std::vector<u64> prev_waits = scheduler_->queue_wait_local().bucket_counts();
-  u64 seq = 0;
-  for (;;) {
-    dom.sleep_for(interval);
-    {
-      std::unique_lock lk(mu_);
-      if (shutting_down_) return;
-    }
-    if (channel.closed()) return;
-    transport::LoadSnapshot snap = load_snapshot();
-    snap.seq = ++seq;
-    const std::vector<u64> waits = scheduler_->queue_wait_local().bucket_counts();
-    snap.queue_wait_p50_seconds = obs::histogram_quantile_delta(
-        scheduler_->queue_wait_local().edges(), waits, prev_waits, 0.5);
-    prev_waits = waits;
-    transport::Message report;
-    report.op = Opcode::LoadReport;
-    report.connection = conn;
-    report.payload = transport::encode_load(snap);
-    if (!channel.send(std::move(report))) return;
-  }
 }
 
 RuntimeStats Runtime::stats() const {
@@ -537,8 +547,9 @@ void Runtime::drain() {
   // Callers are usually unattached (test mains, tools). Parking on a vt
   // condition variable must be accounted against the domain -- an idle wait
   // from an unattached thread would push the running count negative and
-  // freeze the clock, deadlocking the very connections being waited on
-  // (e.g. heartbeat pumps that only exit at their next wakeup).
+  // freeze the clock, deadlocking the very connections being waited on.
+  // A heartbeat subscription never finishes on its own: close it first
+  // (NodeDirectory::stop), which tears it down on the closing thread.
   std::optional<vt::AttachGuard> attach;
   if (vt::Domain::current() == nullptr) attach.emplace(rt_->machine().domain());
   std::unique_lock lk(mu_);
@@ -565,20 +576,34 @@ void Runtime::Session::leave() {
 }
 
 void Runtime::Session::on_close() {
+  bool heartbeat = false;
   {
     std::scoped_lock lk(mu_);
     if (closing_) return;
     closing_ = true;
-    if (active_ > 0) return;  // the call or pump in progress tears down
+    heartbeat = timer_holds_;
+    if (!heartbeat && active_ > 0) return;  // the call in progress tears down
   }
-  teardown();
+  if (!heartbeat) {
+    teardown();
+    return;
+  }
+  // Outside mu_, which a running tick takes: wait it out and disarm, then
+  // let go of the session for the timer -- unless that tick ended the
+  // subscription and handed the teardown to ending_ already.
+  heartbeat_->timer.cancel();
+  {
+    std::scoped_lock lk(mu_);
+    if (!std::exchange(timer_holds_, false)) return;
+  }
+  leave();
 }
 
 void Runtime::Session::deliver(Message msg, vt::TimePoint at) {
   if (!enter()) return;  // closing: a late request gets no reply
   rt_.rt_->machine().domain().sleep_until(at);
-  // Once subscribed, the pump owns the connection (and its trace ordinal):
-  // nothing else is spoken.
+  // Once subscribed, the heartbeat timer owns the connection (and its trace
+  // ordinal): nothing else is spoken.
   if (phase_ != Phase::Subscribed) {
     const ConnectionId conn = msg.connection;
     // Last line of defence: a call that throws must take down neither the
@@ -603,7 +628,7 @@ void Runtime::Session::deliver(Message msg, vt::TimePoint at) {
     } catch (...) {
       refuse("unknown exception");
     }
-    if (subscription_.has_value()) start_pump();
+    if (phase_ == Phase::Subscribed) start_heartbeat();
   }
   leave();
 }
@@ -801,7 +826,8 @@ void Runtime::Session::serve(const Message& msg) {
                                          transport::encode_load(rt_.load_snapshot())));
     if (interval_ns.value() > 0) {
       phase_ = Phase::Subscribed;
-      subscription_ = Subscription{msg.connection, vt::Duration(interval_ns.value())};
+      heartbeat_.emplace(rt_.rt_->machine().domain(), [this] { tick(); }, msg.connection,
+                         vt::Duration(interval_ns.value()));
     }
     return;
   }
@@ -828,21 +854,55 @@ void Runtime::Session::proxy(Message msg) {
   if (goodbye) close();
 }
 
-void Runtime::Session::start_pump() {
-  const Subscription sub = *std::exchange(subscription_, std::nullopt);
-  {
-    std::scoped_lock lk(mu_);
-    ++active_;  // the pump holds the session until it stops
-  }
-  std::unique_lock lk(rt_.mu_);
-  rt_.threads_.emplace_back(rt_.rt_->machine().domain(), [this, sub] {
-    {
-      obs::ScopedTraceContext scoped_trace(trace_, &trace_ordinal_);
-      rt_.heartbeat_loop(*channel_, sub.conn, sub.interval);
+void Runtime::Session::start_heartbeat() {
+  Heartbeat& hb = *heartbeat_;
+  hb.prev_waits = rt_.scheduler_->queue_wait_local().bucket_counts();
+  std::scoped_lock lk(mu_);
+  if (closing_) return;  // closed during the subscribing call: leave() tears down
+  ++active_;
+  timer_holds_ = true;
+  hb.timer.arm(rt_.rt_->machine().domain().now() + hb.interval);
+}
+
+void Runtime::Session::tick() {
+  using Outcome = transport::MessageChannel::SendAttempt::Outcome;
+  Heartbeat& hb = *heartbeat_;
+  vt::Domain& dom = rt_.rt_->machine().domain();
+  transport::MessageChannel::SendAttempt attempt{Outcome::Closed};
+  if (hb.report.has_value() || !channel_->closed()) {
+    // Scoped to the send: the teardown below reads the ordinal back.
+    obs::ScopedTraceContext scoped_trace(trace_, &trace_ordinal_);
+    if (!hb.report.has_value()) {
+      transport::LoadSnapshot snap = rt_.load_snapshot();
+      snap.seq = ++hb.seq;
+      const obs::Histogram& waits = rt_.scheduler_->queue_wait_local();
+      std::vector<u64> now_waits = waits.bucket_counts();
+      snap.queue_wait_p50_seconds =
+          obs::histogram_quantile_delta(waits.edges(), now_waits, hb.prev_waits, 0.5);
+      hb.prev_waits = std::move(now_waits);
+      hb.report.emplace();
+      hb.report->op = Opcode::LoadReport;
+      hb.report->connection = hb.conn;
+      hb.report->payload = transport::encode_load(snap);
+      hb.drops = 0;
     }
-    close();
-    leave();
-  });
+    attempt = channel_->try_send(*hb.report, hb.drops);
+  }
+  if (attempt.outcome == Outcome::Sent) {
+    hb.report.reset();
+    hb.timer.arm(dom.now() + hb.interval);
+  } else if (attempt.outcome == Outcome::Dropped) {
+    hb.timer.arm(dom.now() + attempt.backoff);  // the retransmit, same report
+  } else {
+    // The subscription ended. Closing and tearing down wait in virtual
+    // time, so a thread started at this instant does both.
+    std::scoped_lock lk(mu_);
+    if (!std::exchange(timer_holds_, false)) return;  // a closer took over
+    ending_ = vt::Thread(dom, [this] {
+      close();
+      leave();
+    });
+  }
 }
 
 void Runtime::Session::teardown() {

@@ -15,14 +15,14 @@
 // channel's sink sleeps until the request's delivery instant, runs the
 // connection's Session and queues the reply with its own transit. Only a
 // channel without an in-process sender (serve_channel: unix sockets,
-// gpuvmd) gets a serving thread, and a heartbeat subscription a pump
-// thread. A call locks only its context's ContextLock, the context table
-// and per-context page tables are sharded maps, counters are relaxed
-// atomics, and the daemon-wide mu_ guards nothing but connection
-// bookkeeping and the CUDA-4 app-context registry. Tenants contend only on
-// the scheduler (when competing for vGPUs) and on the device engines
-// themselves -- never on a daemon-wide lock, so a tenant queued for a vGPU
-// cannot stall the others.
+// gpuvmd) gets a serving thread; a heartbeat subscription is a vt::Timer
+// that the clock engine runs. A call locks only its context's ContextLock,
+// the context table and per-context page tables are sharded maps, counters
+// are relaxed atomics, and the daemon-wide mu_ guards nothing but
+// connection bookkeeping and the CUDA-4 app-context registry. Tenants
+// contend only on the scheduler (when competing for vGPUs) and on the
+// device engines themselves -- never on a daemon-wide lock, so a tenant
+// queued for a vGPU cannot stall the others.
 #pragma once
 
 #include <atomic>
@@ -169,7 +169,8 @@ class Runtime {
   /// Point-in-time load telemetry (the QueryLoad answer): queue depth,
   /// binding pressure, free device memory, lifetime queue-wait p50, all
   /// stamped with the node's virtual time. Heartbeat subscriptions rewrite
-  /// seq and the p50 window per report.
+  /// seq and the p50 window per report. Takes only leaf locks, never the
+  /// scheduler's or this daemon's mu_: heartbeat ticks call it on any thread.
   transport::LoadSnapshot load_snapshot() const;
 
   /// Publishes the per-layer stats structs (runtime, scheduler, memory
@@ -180,8 +181,8 @@ class Runtime {
 
   /// Blocks until all currently-open connections have finished (used by
   /// tests and the batch harness between phases). A connection finishes
-  /// when its channel closes, with or without a Goodbye; a heartbeat
-  /// subscription at its pump's next wakeup after that.
+  /// when its channel closes, with or without a Goodbye -- a heartbeat
+  /// subscription too, torn down on the closing thread.
   void drain();
 
   /// Live-migrates context `id` to the peer daemon reached via `factory`
@@ -209,12 +210,6 @@ class Runtime {
   Session* open_session_locked(std::unique_ptr<transport::MessageChannel> channel,
                                bool served_inline,
                                std::vector<std::unique_ptr<Session>>& finished);
-
-  /// Services a QueryLoad subscription: pushes a LoadReport every
-  /// `interval` until the channel closes or the daemon shuts down. The
-  /// subscribing connection speaks nothing else afterwards.
-  void heartbeat_loop(transport::MessageChannel& channel, ConnectionId conn,
-                      vt::Duration interval);
 
   /// Dispatches one application message; returns the reply.
   transport::Message handle(Context& ctx, transport::MessageChannel& channel,
@@ -277,7 +272,7 @@ class Runtime {
   /// one is freed at the first connect after it finished, the others with
   /// the daemon.
   std::vector<std::unique_ptr<Session>> sessions_;
-  /// Serving threads (serve_channel) and heartbeat pumps.
+  /// Serving threads (serve_channel).
   std::vector<vt::Thread> threads_;
   int open_connections_ = 0;
   vt::ConditionVariable drained_cv_;

@@ -239,6 +239,26 @@ void Scheduler::match_locked() {
   }
   if (granted_any) cv_.notify_all();
   if (armed_quantum) pump_cv_.notify_all();
+  publish_load_locked();
+}
+
+void Scheduler::publish_load_locked() {
+  std::scoped_lock load_lock(load_mu_);
+  load_.vgpus = 0;
+  load_.waiting = static_cast<int>(waiting_.size());
+  load_.bound = static_cast<int>(bindings_.size());
+  load_.devices.clear();  // keeps its capacity: no allocation per publish
+  for (const auto& slot : slots_) {
+    if (!slot->alive) continue;
+    ++load_.vgpus;
+    auto dev = std::find_if(load_.devices.begin(), load_.devices.end(),
+                            [&](const DeviceSlots& d) { return d.gpu == slot->gpu; });
+    if (dev == load_.devices.end()) dev = load_.devices.insert(dev, DeviceSlots{slot->gpu});
+    ++dev->vgpus;
+    if (slot->bound.valid()) ++dev->bound;
+  }
+  std::sort(load_.devices.begin(), load_.devices.end(),
+            [](const DeviceSlots& a, const DeviceSlots& b) { return a.gpu < b.gpu; });
 }
 
 Result<Scheduler::Binding> Scheduler::acquire(Context& ctx) {
@@ -284,6 +304,7 @@ Result<Scheduler::Binding> Scheduler::acquire(Context& ctx) {
     }
   }
   waiting_.erase(std::find(waiting_.begin(), waiting_.end(), &waiter));
+  publish_load_locked();
   const vt::Duration waited = dom.now() - wait_start;
   queue_wait_hist().observe(vt::to_seconds(waited));
   queue_wait_local_.observe(vt::to_seconds(waited));
@@ -471,37 +492,25 @@ bool Scheduler::context_bound(ContextId ctx) const {
 }
 
 int Scheduler::vgpu_count() const {
-  std::unique_lock lk(mu_);
-  return static_cast<int>(
-      std::count_if(slots_.begin(), slots_.end(), [](const auto& s) { return s->alive; }));
+  std::scoped_lock lk(load_mu_);
+  return load_.vgpus;
 }
 
 int Scheduler::waiting_count() const {
-  std::unique_lock lk(mu_);
-  return static_cast<int>(waiting_.size());
+  std::scoped_lock lk(load_mu_);
+  return load_.waiting;
 }
 
 int Scheduler::bound_count() const {
-  std::unique_lock lk(mu_);
-  return static_cast<int>(bindings_.size());
+  std::scoped_lock lk(load_mu_);
+  return load_.bound;
 }
 
 bool Scheduler::has_waiters() const { return waiting_count() > 0; }
 
-std::vector<Scheduler::DeviceSlots> Scheduler::device_slots() const {
-  std::unique_lock lk(mu_);
-  std::map<GpuId, DeviceSlots> by_gpu;
-  for (const auto& slot : slots_) {
-    if (!slot->alive) continue;
-    DeviceSlots& dev = by_gpu[slot->gpu];
-    dev.gpu = slot->gpu;
-    ++dev.vgpus;
-    if (slot->bound.valid()) ++dev.bound;
-  }
-  std::vector<DeviceSlots> out;
-  out.reserve(by_gpu.size());
-  for (const auto& [gpu, dev] : by_gpu) out.push_back(dev);
-  return out;
+Scheduler::LoadCounts Scheduler::load_counts() const {
+  std::scoped_lock lk(load_mu_);
+  return load_;
 }
 
 std::map<GpuId, int> Scheduler::load_by_gpu() const {

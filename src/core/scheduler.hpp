@@ -208,20 +208,33 @@ class Scheduler {
   bool context_bound(ContextId ctx) const;
 
   // ---- Introspection ----------------------------------------------------------
+  /// Active bindings per GPU (load metric).
+  std::map<GpuId, int> load_by_gpu() const;
+
+  // The load counters below come from one copy, republished under mu_ at
+  // every change and read under a leaf lock of its own: a clock-engine timer
+  // (the heartbeat's load_snapshot) reads them even while the thread
+  // advancing the clock holds mu_ inside acquire()'s wait.
   int vgpu_count() const;           ///< alive vGPUs (what apps see as devices)
   int waiting_count() const;        ///< contexts blocked in acquire()
   int bound_count() const;          ///< contexts currently holding a vGPU
   bool has_waiters() const;
-  /// Active bindings per GPU (load metric).
-  std::map<GpuId, int> load_by_gpu() const;
 
-  /// Alive vGPU slots aggregated per physical device (LoadSnapshot feed).
+  /// Alive vGPU slots aggregated per physical device.
   struct DeviceSlots {
     GpuId gpu{};
     int vgpus = 0;  ///< alive slots on this device
     int bound = 0;  ///< of which bound to a context
   };
-  std::vector<DeviceSlots> device_slots() const;
+  /// The counts above plus the per-device slots, from one consistent
+  /// publication (the LoadSnapshot feed).
+  struct LoadCounts {
+    int vgpus = 0;
+    int waiting = 0;
+    int bound = 0;
+    std::vector<DeviceSlots> devices;  ///< ordered by GpuId
+  };
+  LoadCounts load_counts() const;
 
   /// This scheduler's own queue-wait histogram (same observations as the
   /// process-global "sched.queue_wait_seconds"). Per-instance so a node in
@@ -296,6 +309,9 @@ class Scheduler {
   /// quantum gauge and trip counter.
   void governor_window_locked();
 
+  /// Republishes load_ from slots_, waiting_ and bindings_ (mu_ held).
+  void publish_load_locked();
+
   cudart::CudaRt* rt_;
   MemoryManager* mm_;
   Config config_;
@@ -313,6 +329,10 @@ class Scheduler {
   std::set<ContextId> recovering_;
   SchedulerStats stats_;
   obs::Histogram queue_wait_local_;
+
+  /// The published load counters; load_mu_ is a leaf lock (see above).
+  mutable std::mutex load_mu_;
+  LoadCounts load_;
 
   // ---- Quantum pump (preemptive policies only) ------------------------------
   PreemptExecutor preempt_executor_;

@@ -72,43 +72,62 @@ class Pipe {
       : dom_(&dom), costs_(costs), cv_(dom), trace_tid_(next_channel_tid()) {}
 
   bool send(Message msg) {
-    messages_sent_counter().add(1);
-    bytes_sent_counter().add(msg.payload.size());
+    int drops = 0;
+    for (;;) {
+      const MessageChannel::SendAttempt attempt = try_send(msg, drops);
+      if (attempt.outcome != MessageChannel::SendAttempt::Outcome::Dropped) {
+        return attempt.outcome == MessageChannel::SendAttempt::Outcome::Sent;
+      }
+      dom_->sleep_for(attempt.backoff);
+    }
+  }
+
+  /// MessageChannel::try_send on this direction: one attempt, no sleeping.
+  MessageChannel::SendAttempt try_send(Message& msg, int& drops) {
+    using Outcome = MessageChannel::SendAttempt::Outcome;
+    if (drops == 0) {
+      messages_sent_counter().add(1);
+      bytes_sent_counter().add(msg.payload.size());
+    }
     vt::Duration transit = transit_time(msg);
     // Chaos fault injection: a degraded wire drops send attempts; the
     // sender detects the loss and retransmits after an exponential backoff
     // (costing virtual time), breaking the channel once the budget is
     // exhausted. Drop decisions are pure (seed, stream, attempt#) hashes,
-    // so replays with the same seed behave identically.
-    if (FaultInjector* fi = fault_injector(); fi != nullptr && fi->active()) {
-      int attempt = 0;
-      for (;;) {
-        const u64 seq = send_seq_.fetch_add(1, std::memory_order_relaxed);
-        if (!fi->should_drop(trace_tid_, seq)) break;
+    // so replays with the same seed behave identically. Whether the wire
+    // is degraded is decided at a message's first attempt.
+    FaultInjector* fi = fault_injector();
+    if (fi != nullptr && (drops > 0 || fi->active())) {
+      const u64 seq = send_seq_.fetch_add(1, std::memory_order_relaxed);
+      if (fi->should_drop(trace_tid_, seq)) {
         dropped_counter().add(1);
-        if (++attempt > kMaxRetransmits) {
+        if (++drops > kMaxRetransmits) {
           broken_counter().add(1);
           close();
-          return false;
+          return {Outcome::Closed};
         }
         retries_counter().add(1);
-        dom_->sleep_for(retransmit_backoff(attempt));
+        return {Outcome::Dropped, retransmit_backoff(drops)};
       }
       transit += fi->extra_delay();
     }
-    std::unique_lock lk(mu_);
-    if (closed_) return false;
-    if (!has_sink_) {
-      items_.push_back(Entry{std::move(msg), dom_->now(), dom_->now() + transit});
-      cv_.notify_one();
-      return true;
+    if (!has_sink_.load(std::memory_order_acquire)) {
+      std::unique_lock lk(mu_);
+      if (closed_) return {Outcome::Closed};
+      if (!has_sink_) {
+        items_.push_back(Entry{std::move(msg), dom_->now(), dom_->now() + transit});
+        cv_.notify_one();
+        return {Outcome::Sent};
+      }
     }
+    // To a sink without mu_, the lock receive() waits with: a vt::Timer
+    // callback may send here (it may take no lock held across a vt wait).
+    if (closed_.load(std::memory_order_acquire)) return {Outcome::Closed};
     const vt::TimePoint now = dom_->now();
-    lk.unlock();
     std::scoped_lock sink_lock(sink_mu_);
-    if (!sink_) return false;  // detached since the check above
+    if (!sink_) return {Outcome::Closed};  // detached since the check above
     to_sink(Entry{std::move(msg), now, now + transit});
-    return true;
+    return {Outcome::Sent};
   }
 
   std::optional<Message> receive() {
@@ -159,10 +178,7 @@ class Pipe {
     if (sink) sink(std::nullopt, dom_->now());
   }
 
-  bool closed() const {
-    std::unique_lock lk(mu_);
-    return closed_;
-  }
+  bool closed() const { return closed_.load(std::memory_order_acquire); }
 
   bool has_items() const {
     std::unique_lock lk(mu_);
@@ -205,8 +221,10 @@ class Pipe {
   const u64 trace_tid_;
   std::atomic<u64> send_seq_{0};  // per-stream attempt counter (fault hashing)
   std::deque<Entry> items_;
-  bool closed_ = false;
-  bool has_sink_ = false;  // guarded by mu_; sends then bypass items_
+  // Written under mu_ (has_sink_ under sink_mu_ too); sends to a sink and
+  // closed() read them without it.
+  std::atomic<bool> closed_{false};
+  std::atomic<bool> has_sink_{false};  // sends then bypass items_
   std::mutex sink_mu_;     // serializes sink calls against set_sink
   MessageChannel::Sink sink_;  // written under mu_ and sink_mu_, read under either
 };
@@ -219,6 +237,7 @@ class LocalEndpoint : public MessageChannel {
   ~LocalEndpoint() override { close(); }
 
   bool send(Message msg) override { return tx_->send(std::move(msg)); }
+  SendAttempt try_send(Message& msg, int& drops) override { return tx_->try_send(msg, drops); }
   std::optional<Message> receive() override { return rx_->receive(); }
 
   void close() override {
@@ -248,6 +267,10 @@ std::pair<std::unique_ptr<MessageChannel>, std::unique_ptr<MessageChannel>> make
   auto b_to_a = std::make_shared<Pipe>(dom, costs);
   return {std::make_unique<LocalEndpoint>(a_to_b, b_to_a),
           std::make_unique<LocalEndpoint>(b_to_a, a_to_b)};
+}
+
+MessageChannel::SendAttempt MessageChannel::try_send(Message& msg, int& /*drops*/) {
+  return {send(std::move(msg)) ? SendAttempt::Outcome::Sent : SendAttempt::Outcome::Closed};
 }
 
 // ---- FaultInjector ----------------------------------------------------------

@@ -33,6 +33,24 @@ class MessageChannel {
   /// Sends a message to the peer. Returns false if the channel is closed.
   virtual bool send(Message msg) = 0;
 
+  /// What one try_send() did.
+  struct SendAttempt {
+    enum class Outcome { Sent, Closed, Dropped } outcome;
+    vt::Duration backoff{};  ///< Dropped: retry this much later
+  };
+
+  /// One send attempt that never blocks in virtual time, for a sender that
+  /// must not sleep (a vt::Timer callback). Where send() sleeps out a
+  /// retransmit backoff, this returns Dropped with the backoff instead; the
+  /// caller tries again at that instant with the same `msg` and `drops`
+  /// (drops so far, 0 at first), which makes the drop decisions send()
+  /// makes. `msg` is consumed only when Sent; a message whose retransmit
+  /// budget runs out breaks the channel (Closed). The in-process pipe hands
+  /// a message to a sink without the lock receive() waits with, so a timer
+  /// may try_send on a direction that delivers to a sink; without one, it
+  /// queues under that lock. The default is one blocking send().
+  virtual SendAttempt try_send(Message& msg, int& drops);
+
   /// Blocks until a message arrives (nullopt when the peer closed and the
   /// queue is drained).
   virtual std::optional<Message> receive() = 0;

@@ -11,6 +11,7 @@
 
 #include "cluster/dispatch_policy.hpp"
 #include "cluster/torque.hpp"
+#include "core/context.hpp"
 #include "obs/metrics.hpp"
 
 namespace gpuvm::cluster {
@@ -93,14 +94,95 @@ TEST_F(ClusterLbTest, HeartbeatsFlowIntoTheDirectory) {
   cluster.stop_load_reports();
 }
 
-TEST_F(ClusterLbTest, EachSubscriptionCostsOneDaemonThreadAndNoHeadThread) {
+TEST_F(ClusterLbTest, EachSubscriptionCostsNoThread) {
   Cluster cluster = make_cluster(two_test_nodes(), 2);
   const int before = dom_.attached_threads();
   cluster.enable_load_reports(fast_directory());
-  // One connection thread per node runs its heartbeat pump; the directory
-  // folds the reports at delivery and runs no thread of its own.
-  EXPECT_EQ(dom_.attached_threads(), before + static_cast<int>(cluster.size()));
+  // Each daemon's heartbeat is a timer the clock engine runs, and the
+  // directory folds the reports at delivery: neither side runs a thread.
+  EXPECT_EQ(dom_.attached_threads(), before);
+  dom_.sleep_for(vt::from_millis(1.0));
+  EXPECT_EQ(dom_.attached_threads(), before);
+  EXPECT_GT(cluster.directory()->report_count(cluster.node(1).id()), 3u);
   cluster.stop_load_reports();
+}
+
+/// The heartbeat schedule of `node`, checked at the current instant: the
+/// latest visible report was sampled exactly `seq` intervals after the
+/// subscription (`subscribed`, the first snapshot's instant), it is the
+/// latest report due by now, and none went missing.
+void expect_on_schedule(NodeDirectory& dir, NodeId node, vt::TimePoint subscribed,
+                        vt::TimePoint now) {
+  const auto snap = dir.snapshot_of(node);
+  ASSERT_TRUE(snap.has_value());
+  const vt::Duration interval = dir.config().heartbeat_interval;
+  const vt::TimePoint sampled = subscribed + interval * static_cast<i64>(snap->seq);
+  EXPECT_EQ(vt::TimePoint{snap->vt_ns}, sampled);
+  // The next report was sampled an interval later and is still in transit
+  // (cluster-link latency plus well under a microsecond of payload).
+  const transport::ChannelCosts link = transport::ChannelCosts::cluster_link();
+  EXPECT_LE(sampled, now);
+  EXPECT_LT(now, sampled + interval + link.latency + vt::from_micros(1.0));
+  EXPECT_EQ(dir.report_count(node), snap->seq + 1);  // the first reply, then each tick
+}
+
+TEST_F(ClusterLbTest, ReportsKeepTheirInstantsWhileATenantWaitsForAVgpu) {
+  // node-b has one vGPU. A holder binds it for 2 ms; a waiter asks for it
+  // alone at +0.5 ms, so the waiter's own wait -- holding the scheduler's
+  // mutex -- is what advances the clock through the heartbeats in between.
+  Cluster cluster = make_cluster(two_test_nodes(), 1);
+  cluster.enable_load_reports(fast_directory());
+  NodeDirectory* dir = cluster.directory();
+  const NodeId b = cluster.node(1).id();
+  const vt::TimePoint subscribed{dir->snapshot_of(b)->vt_ns};
+  core::Scheduler& sched = cluster.node(1).runtime().scheduler();
+  core::Context holder_ctx(ContextId{1001}, dom_);
+  core::Context waiter_ctx(ContextId{1002}, dom_);
+  const vt::TimePoint t0 = dom_.now();
+  int pending_seen = -1;
+  vt::TimePoint waiter_bound{};
+  {
+    dom_.hold();  // both start at t0
+    vt::Thread holder(dom_, [&] {
+      ASSERT_TRUE(sched.acquire(holder_ctx).has_value());
+      dom_.sleep_until(t0 + vt::from_millis(2.0));
+      expect_on_schedule(*dir, b, subscribed, dom_.now());
+      pending_seen = dir->snapshot_of(b)->pending_contexts;
+      sched.release(holder_ctx);
+    });
+    vt::Thread waiter(dom_, [&] {
+      dom_.sleep_until(t0 + vt::from_millis(0.5));
+      ASSERT_TRUE(sched.acquire(waiter_ctx).has_value());
+      waiter_bound = dom_.now();
+      sched.release(waiter_ctx);
+    });
+    dom_.unhold();
+  }
+  EXPECT_EQ(pending_seen, 1);  // the reports saw the waiter queued
+  EXPECT_EQ(waiter_bound, t0 + vt::from_millis(2.0));
+  expect_on_schedule(*dir, b, subscribed, dom_.now());
+  cluster.stop_load_reports();
+}
+
+TEST_F(ClusterLbTest, ReportsKeepTheirInstantsWhileDrainWaits) {
+  // drain() waits on the daemon's condition variable with its mutex; with
+  // every other thread asleep, that wait advances the clock through the
+  // heartbeats until a closer ends the subscriptions 2 ms later.
+  Cluster cluster = make_cluster(two_test_nodes(), 2);
+  cluster.enable_load_reports(fast_directory());
+  NodeDirectory* dir = cluster.directory();
+  const NodeId b = cluster.node(1).id();
+  const vt::TimePoint subscribed{dir->snapshot_of(b)->vt_ns};
+  const vt::TimePoint t0 = dom_.now();
+  vt::Thread closer(dom_, [&] {
+    dom_.sleep_until(t0 + vt::from_millis(2.0));
+    expect_on_schedule(*dir, b, subscribed, dom_.now());
+    cluster.stop_load_reports();
+  });
+  dom_.sleep_until(t0 + vt::from_millis(0.5));  // only this thread wakes here
+  cluster.node(1).runtime().drain();
+  EXPECT_EQ(dom_.now(), t0 + vt::from_millis(2.0));
+  closer.join();
 }
 
 TEST_F(ClusterLbTest, ReportTurnsVisibleExactlyAtItsDeliveryInstant) {
@@ -162,6 +244,33 @@ TEST_F(ClusterLbTest, BrokenHeartbeatLinkTurnsNodeSuspect) {
   EXPECT_FALSE(dir->dark(b));  // stale, not reported dead
   // The last snapshot is still served (consumers may want the final view).
   EXPECT_TRUE(dir->snapshot_of(b).has_value());
+  cluster.stop_load_reports();
+}
+
+TEST_F(ClusterLbTest, ALinkBrokenInsideATickTearsTheSubscriptionDownAtThatInstant) {
+  Cluster cluster = make_cluster(two_test_nodes(), 2);
+  const DirectoryConfig config = fast_directory();
+  cluster.enable_load_reports(config);
+  NodeDirectory* dir = cluster.directory();
+  const NodeId b = cluster.node(1).id();
+  core::Runtime& runtime = cluster.node(1).runtime();
+  const vt::TimePoint subscribed{dir->snapshot_of(b)->vt_ns};
+  dom_.sleep_for(vt::from_micros(1000.5));  // between two ticks
+  const int before = runtime.load_snapshot().active_contexts;
+  EXPECT_EQ(before, 1);  // the subscription's own context
+
+  transport::ScopedFaultInjector chaos(/*seed=*/11);
+  chaos.injector().degrade(/*drop_rate=*/1.0, /*extra_delay=*/{});
+  // node-b's next tick drops its report, retries after 50, 100, ..., 1600
+  // us, and breaks the link on the seventh drop, inside that tick.
+  const i64 ticks = (dom_.now() - subscribed) / config.heartbeat_interval + 1;
+  const vt::TimePoint broken =
+      subscribed + config.heartbeat_interval * ticks + vt::from_micros(3150.0);
+  dom_.sleep_until(broken - vt::Duration{1});
+  EXPECT_EQ(runtime.load_snapshot().active_contexts, before);
+  dom_.sleep_until(broken + vt::Duration{1});
+  EXPECT_EQ(runtime.load_snapshot().active_contexts, before - 1);
+  EXPECT_EQ(dom_.attached_threads(), 1);  // the teardown's thread is gone
   cluster.stop_load_reports();
 }
 

@@ -154,14 +154,16 @@ TEST_F(ProtocolTest, HugeCountsAndSizesGetErrorReplies) {
     w.put<u64>(size);
     EXPECT_EQ(call(*ch, Opcode::Malloc, w.take()), Status::ErrorSwapAllocation) << size;
   }
-  // One migrated entry of size 2^64-1: as a round-0 image entry, and as a
-  // new entry in a round-1 delta.
-  const auto entry = [](WireWriter& w, u64 vptr) {
+  // One migrated entry, as a round-0 image entry and as a new entry in a
+  // round-1 delta: of size 2^64-1; of 8 GiB, far beyond the 1 MiB device
+  // (it used to zero-fill 8 GiB of host memory for an entry that could
+  // never materialize); and of 64 bytes at an address range that wraps.
+  const auto entry = [](WireWriter& w, u64 vptr, u64 size) {
     w.put<u64>(vptr);
-    w.put<u64>(~0ull);  // size
-    w.put<u8>(0);       // EntryType::Linear
-    w.put<u8>(0);       // not a nested member
-    w.put<u64>(0);      // nested references
+    w.put<u64>(size);
+    w.put<u8>(0);   // EntryType::Linear
+    w.put<u8>(0);   // not a nested member
+    w.put<u64>(0);  // nested references
   };
   const auto chunk = [&](u32 round, std::vector<u8> image) {
     transport::MigrateChunkPayload payload;
@@ -169,19 +171,30 @@ TEST_F(ProtocolTest, HugeCountsAndSizesGetErrorReplies) {
     payload.image = std::move(image);
     return call(*ch, Opcode::MigrateChunk, transport::encode_migrate_chunk(payload));
   };
-  WireWriter image;
-  image.put<u32>(0x6d766367);  // image magic "gcvm"
-  image.put<u32>(3);           // image version
-  image.put<u64>(1);           // entries
-  entry(image, 1ull << 40);
-  EXPECT_EQ(chunk(0, image.take()), Status::ErrorSwapAllocation);
-  WireWriter delta;
-  delta.put<u32>(0x6c646d67);  // delta magic "gmdl"
-  delta.put<u32>(1);           // delta version
-  delta.put<u64>(0);           // freed entries
-  delta.put<u64>(1);           // dirty entries
-  entry(delta, 1ull << 40);
-  EXPECT_EQ(chunk(1, delta.take()), Status::ErrorSwapAllocation);
+  const auto image_of = [&](u64 vptr, u64 size) {
+    WireWriter image;
+    image.put<u32>(0x6d766367);  // image magic "gcvm"
+    image.put<u32>(3);           // image version
+    image.put<u64>(1);           // entries
+    entry(image, vptr, size);
+    return image.take();
+  };
+  const auto delta_of = [&](u64 vptr, u64 size) {
+    WireWriter delta;
+    delta.put<u32>(0x6c646d67);  // delta magic "gmdl"
+    delta.put<u32>(1);           // delta version
+    delta.put<u64>(0);           // freed entries
+    delta.put<u64>(1);           // dirty entries
+    entry(delta, vptr, size);
+    return delta.take();
+  };
+  for (const u64 size : {~0ull, 8ull << 30}) {
+    EXPECT_EQ(chunk(0, image_of(1ull << 40, size)), Status::ErrorSwapAllocation) << size;
+    EXPECT_EQ(chunk(1, delta_of(1ull << 40, size)), Status::ErrorSwapAllocation) << size;
+  }
+  const u64 wrapping = ~0ull - 31;  // + 64 bytes wraps past 2^64
+  EXPECT_EQ(chunk(0, image_of(wrapping, 64)), Status::ErrorCheckpointNotFound);
+  EXPECT_EQ(chunk(1, delta_of(wrapping, 64)), Status::ErrorProtocol);
 
   // The daemon survived, and the connection still serves.
   WireWriter w;

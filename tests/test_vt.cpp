@@ -1,14 +1,17 @@
 // Tests for the virtual-time threading substrate (common/vt.hpp): the
 // quiescence clock, the calendar queue behind it (checked against a
-// std::multimap reference), the cancellable Alarm, and the ScaledReal
-// cross-check.
+// std::multimap reference), the cancellable Alarm, the clock-engine Timer,
+// and the ScaledReal cross-check.
 #include "common/vt.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <map>
 #include <mutex>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/calendar_queue.hpp"
@@ -642,6 +645,152 @@ TEST(VtAlarm, StressWaitCancelRaces) {
     dom.unhold();
   }
   EXPECT_EQ(cancelled + reached, 200);
+}
+
+// ---------------------------------------------------------------------------
+// Timer: callbacks the clock engine runs itself at quiescence.
+
+TEST(VtTimer, FiresAtItsOwnInstantAndBeforeATiedSleeper) {
+  Domain dom;
+  std::mutex mu;
+  std::vector<std::pair<std::string, TimePoint>> seen;
+  const auto record = [&](const char* what) {
+    std::scoped_lock lk(mu);
+    seen.emplace_back(what, dom.now());
+  };
+  Timer between(dom, [&] { record("timer@3"); });
+  Timer tied(dom, [&] { record("timer@5"); });
+  between.arm(from_millis(3));
+  tied.arm(from_millis(5));
+  {
+    dom.hold();
+    Thread sleeper(dom, [&] {
+      dom.sleep_until(from_millis(1));
+      record("sleeper@1");
+      dom.sleep_until(from_millis(5));
+      record("sleeper@5");
+    });
+    dom.unhold();
+  }
+  const std::vector<std::pair<std::string, TimePoint>> want = {
+      {"sleeper@1", from_millis(1)},
+      {"timer@3", from_millis(3)},  // between the two sleeps, at its deadline
+      {"timer@5", from_millis(5)},  // ties with the sleeper and runs first
+      {"sleeper@5", from_millis(5)}};
+  EXPECT_EQ(seen, want);
+}
+
+TEST(VtTimer, PendingTimersAloneDoNotMoveTheClock) {
+  Domain dom;
+  std::atomic<int> fired{0};
+  Timer timer(dom, [&] { fired.fetch_add(1); });
+  timer.arm(from_millis(1));
+  AttachGuard guard(dom);
+  {
+    // The only attached thread idles: the domain is quiescent with nothing
+    // but the timer pending, and the clock stays put.
+    IdleGuard idle;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(dom.now(), kTimeZero);
+  EXPECT_EQ(fired.load(), 0);
+  // Sleeping past it runs it, on this thread, at its instant.
+  dom.sleep_for(from_millis(2));
+  EXPECT_EQ(fired.load(), 1);
+  EXPECT_EQ(dom.now(), from_millis(2));
+}
+
+TEST(VtTimer, CancelWaitsOutARunningCallbackAndDisarms) {
+  Domain dom;
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<int> runs{0};
+  std::atomic<bool> callback_done{false};
+  Timer slow(dom, [&] {
+    runs.fetch_add(1);
+    entered.set_value();
+    released.wait();  // a test-only real block: the clock is pinned meanwhile
+    callback_done.store(true);
+    slow.arm(dom.now() + from_millis(1));  // re-arms, as a heartbeat does
+  });
+  std::atomic<int> never{0};
+  Timer cancelled(dom, [&] { never.fetch_add(1); });
+  slow.arm(from_millis(1));
+  cancelled.arm(from_millis(2));
+  cancelled.cancel();  // before it is due: it must never fire
+
+  Thread sleeper(dom, [&] { dom.sleep_for(from_millis(5)); });
+  entered.get_future().wait();  // the sleeper's advance is inside the callback
+  std::atomic<bool> cancel_returned{false};
+  bool done_at_return = false;
+  std::thread canceller([&] {
+    slow.cancel();
+    done_at_return = callback_done.load();
+    cancel_returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(cancel_returned.load());  // still waiting the callback out
+  release.set_value();
+  canceller.join();
+  EXPECT_TRUE(done_at_return);
+  sleeper.join();
+  // The re-arm at 2 ms was disarmed by the cancel: one run, then nothing.
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_EQ(never.load(), 0);
+  EXPECT_EQ(dom.now(), from_millis(5));
+}
+
+TEST(VtTimer, CallbackNotifyWakesAWaiterAtItsInstant) {
+  Domain dom;
+  std::mutex mu;
+  ConditionVariable cv(dom);
+  bool ready = false;
+  bool waiting = false;
+  TimePoint woke{};
+  // The callback takes the waiter's mutex. That is legal only while no
+  // thread can be advancing the clock with that mutex held: here the
+  // waiter is parked before this thread sleeps, so this thread advances.
+  Timer timer(dom, [&] {
+    std::scoped_lock lk(mu);
+    ready = true;
+    cv.notify_all();
+  });
+  timer.arm(from_millis(3));
+  AttachGuard guard(dom);
+  Thread waiter(dom, [&] {
+    std::unique_lock lk(mu);
+    waiting = true;
+    cv.wait(lk, [&] { return ready; });
+    woke = dom.now();
+  });
+  for (;;) {  // this thread runs throughout, so the clock cannot move yet
+    std::scoped_lock lk(mu);
+    if (waiting) break;
+  }
+  dom.sleep_for(from_millis(10));
+  waiter.join();
+  EXPECT_EQ(woke, from_millis(3));
+  EXPECT_EQ(dom.now(), from_millis(10));
+}
+
+TEST(VtTimer, ScaledRealTimersFireAndReArm) {
+  Domain dom(Mode::ScaledReal, /*real_scale=*/1e-6);
+  std::promise<TimePoint> third;
+  std::future<TimePoint> fired = third.get_future();
+  int runs = 0;  // the Domain's timer thread only
+  TimePoint armed_at{};
+  Timer timer(dom, [&] {
+    if (++runs == 3) {
+      third.set_value(dom.now());
+      return;
+    }
+    timer.arm(dom.now() + from_millis(1));
+  });
+  armed_at = dom.now() + from_millis(1);
+  timer.arm(armed_at);
+  ASSERT_EQ(fired.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+  EXPECT_GE(fired.get(), armed_at + from_millis(2));
 }
 
 }  // namespace
