@@ -175,17 +175,18 @@ inline void report_outcome(benchmark::State& state, const workloads::BatchOutcom
   if (!outcome.all_good()) state.counters["FAILED_JOBS"] = outcome.jobs_failed;
 }
 
-/// Annotates the benchmark with the run's registry metrics (the registry
-/// was reset when the NodeEnv was built, so values are per-run).
+/// Annotates the benchmark with the run's queue wait (the registry was
+/// reset when the NodeEnv was built, so it is per-run) and the node's swap
+/// counts.
 inline void report_registry(benchmark::State& state, const NodeEnv& env) {
-  if (env.runtime_ != nullptr) env.runtime_->publish_metrics();
   const obs::MetricsSnapshot snap = obs::metrics().snapshot();
   if (const auto* h = snap.find("sched.queue_wait_seconds")) {
     state.counters["queue_wait_s"] = h->sum;
   }
-  state.counters["swaps"] = snap.gauge_value("stats.mm.intra_app_swaps") +
-                            snap.gauge_value("stats.mm.inter_app_swaps");
-  state.counters["swap_MB"] = snap.gauge_value("stats.mm.swap_bytes") / 1048576.0;
+  const core::MemStats mm = env.runtime_ != nullptr ? env.runtime_->memory().stats()
+                                                    : core::MemStats{};
+  state.counters["swaps"] = static_cast<double>(mm.intra_app_swaps + mm.inter_app_swaps);
+  state.counters["swap_MB"] = static_cast<double>(mm.swap_bytes) / 1048576.0;
 }
 
 }  // namespace gpuvm::bench

@@ -152,12 +152,12 @@ std::string ScenarioResult::diff(const ScenarioResult& other) const {
     if (a != b) os << name << " " << a << " vs " << b << "\n";
   };
   cmp("chaos.events", chaos_events, other.chaos_events);
-  cmp("runtime.recoveries", recoveries, other.recoveries);
+  cmp("recoveries", recoveries, other.recoveries);
   cmp("transport.retries", transport_retries, other.transport_retries);
   cmp("transport.dropped", transport_dropped, other.transport_dropped);
-  cmp("sched.requeues", requeues, other.requeues);
-  cmp("cluster.migrations", migrations, other.migrations);
-  cmp("sched.preemptions", preemptions, other.preemptions);
+  cmp("requeues", requeues, other.requeues);
+  cmp("migrations", migrations, other.migrations);
+  cmp("preemptions", preemptions, other.preemptions);
   return os.str();
 }
 
@@ -287,12 +287,16 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     result.event_log.push_back(os.str());
   }
   result.chaos_events = counter_value(obs::names::kChaosEvents);
-  result.recoveries = counter_value(obs::names::kRuntimeRecoveries);
   result.transport_retries = counter_value(obs::names::kTransportRetries);
   result.transport_dropped = counter_value(obs::names::kTransportDroppedMessages);
-  result.requeues = counter_value(obs::names::kSchedRequeues);
-  result.migrations = counter_value(obs::names::kClusterMigrations);
-  result.preemptions = counter_value(obs::names::kSchedPreemptions);
+  for (const NodeTarget& target : targets) {
+    const core::RuntimeStats runtime_stats = target.runtime->stats();
+    const core::SchedulerStats sched_stats = target.runtime->scheduler().stats();
+    result.recoveries += runtime_stats.recoveries;
+    result.migrations += runtime_stats.migrations_out;
+    result.requeues += sched_stats.requeues;
+    result.preemptions += sched_stats.preemptions;
+  }
 
   if (recorder != nullptr) {
     tracing.reset();  // stop recording before export

@@ -80,12 +80,12 @@ struct ScenarioResult {
   /// deterministic_equal/diff, which compare observable outcomes.
   std::vector<std::string> flight_dumps;
   u64 chaos_events = 0;                      ///< counter chaos.events
-  u64 recoveries = 0;                        ///< counter runtime.recoveries
+  u64 recoveries = 0;                        ///< RuntimeStats, summed over nodes
   u64 transport_retries = 0;                 ///< counter transport.retries
   u64 transport_dropped = 0;                 ///< counter transport.dropped_messages
-  u64 requeues = 0;                          ///< counter sched.requeues
-  u64 migrations = 0;                        ///< counter cluster.migrations
-  u64 preemptions = 0;                       ///< counter sched.preemptions
+  u64 requeues = 0;                          ///< SchedulerStats, summed over nodes
+  u64 migrations = 0;                        ///< RuntimeStats::migrations_out, summed
+  u64 preemptions = 0;                       ///< SchedulerStats, summed over nodes
 
   /// Full replay equality: same outcomes, same makespan (bit-exact), same
   /// fault log, same counter values.

@@ -23,8 +23,9 @@ struct NodeSpec {
 
 /// Cluster-wide offload health: how many connections moved, how many
 /// attempts degraded to local servicing, how many device calls were
-/// replayed after failures -- aggregate and per node (QueryStats surfaces
-/// the per-node breakdown as "stats.node.<name>.*" gauges).
+/// replayed after failures -- aggregate and per node, summed from each
+/// node's RuntimeStats (a node's QueryStats reply carries its own as
+/// "stats.runtime.{offloaded_connections,offload_fallbacks,recoveries}").
 struct OffloadHealth {
   struct PerNode {
     NodeId id{};

@@ -9,7 +9,7 @@ Node::Node(NodeId id, std::string name, vt::Domain& dom, sim::SimParams params,
   for (const auto& spec : gpus) machine_.add_gpu(spec);
   cudart_ = std::make_unique<cudart::CudaRt>(machine_, cudart_config);
   runtime_ = std::make_unique<core::Runtime>(*cudart_, runtime_config);
-  runtime_->set_node_identity(id_.value, name_);
+  runtime_->set_node_identity(id_.value);
 }
 
 }  // namespace gpuvm::cluster

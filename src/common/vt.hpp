@@ -67,6 +67,7 @@
 #include <vector>
 
 #include "common/calendar_queue.hpp"
+#include "common/stats_table.hpp"
 #include "common/types.hpp"
 
 namespace gpuvm::vt {
@@ -149,7 +150,8 @@ class Domain {
   /// Domain the calling thread is attached to, or nullptr.
   static Domain* current();
 
-  /// Snapshot of the clock-engine counters (published as stats.vt.* gauges).
+  /// Snapshot of the clock-engine counters (the stats.vt.* rows of a
+  /// daemon's QueryStats reply).
   ClockStats clock_stats() const;
 
   /// Event pumps (vt::TaskRunner) fold their dispatched-callback counts into
@@ -241,6 +243,13 @@ class Domain {
   void idle_end(int consumed_wakes);
   void note_wakes(int count);
 };
+
+/// Domain::ClockStats' fields under their QueryStats names ("stats.vt.<name>").
+inline constexpr auto kClockStatsFields = std::to_array<StatField<Domain::ClockStats>>({
+    {"advances", &Domain::ClockStats::advances},
+    {"events_dispatched", &Domain::ClockStats::events_dispatched},
+    {"sleepers_peak", &Domain::ClockStats::sleepers_peak},
+});
 
 /// Condition variable whose waits count as "idle" (not "running") toward the
 /// domain's quiescence detection. Interface mirrors std::condition_variable

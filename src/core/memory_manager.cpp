@@ -31,55 +31,10 @@ obs::Histogram& swap_bytes_hist() {
   return h;
 }
 
-obs::Counter& async_writebacks_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kMmAsyncWritebacks);
-  return c;
-}
-
-obs::Counter& writeback_fences_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kMmWritebackFences);
-  return c;
-}
-
-obs::Counter& dirty_bytes_saved_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kMmDirtyBytesSaved);
-  return c;
-}
-
-obs::Counter& swap_in_bytes_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kMmSwapInBytes);
-  return c;
-}
-
 obs::Histogram& bulk_h2d_bytes_hist() {
   static obs::Histogram& h =
       obs::metrics().histogram(obs::names::kMmBulkH2dBytes, obs::default_bytes_edges());
   return h;
-}
-
-obs::Counter& page_faults_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kMmPageFaults);
-  return c;
-}
-
-obs::Counter& tlb_hits_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kMmTlbHits);
-  return c;
-}
-
-obs::Counter& tlb_misses_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kMmTlbMisses);
-  return c;
-}
-
-obs::Counter& prefetched_pages_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kMmPrefetchedPages);
-  return c;
-}
-
-obs::Counter& page_evictions_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kMmPageEvictions);
-  return c;
 }
 
 obs::Histogram& page_fault_seconds_hist() {
@@ -246,7 +201,7 @@ Status MemoryManager::on_copy_h2d(ContextId ctx, VirtualPtr dst, std::span<const
   const auto [pte, offset] = locate(*mem, dst);
   if (pte == nullptr) return Status::ErrorNoValidPte;
   if (offset + src.size() > pte->size) {
-    stats_.bounds_rejections.fetch_add(1, std::memory_order_relaxed);
+    bump(stats_.bounds_rejections);
     return Status::ErrorSwapSizeMismatch;  // caught before reaching the GPU
   }
 
@@ -313,10 +268,9 @@ Status MemoryManager::sync_to_swap(PageTableEntry& pte) {
   }
   pte.to_copy_2_swap = false;
   pte.dev_dirty.clear();
-  stats_.swap_out_bytes.fetch_add(moved, std::memory_order_relaxed);
+  bump(stats_.swap_out_bytes, moved);
   if (config_.incremental_swap) {
-    stats_.dirty_bytes_saved.fetch_add(pte.size - moved, std::memory_order_relaxed);
-    dirty_bytes_saved_counter().add(static_cast<u64>(pte.size - moved));
+    bump(stats_.dirty_bytes_saved, pte.size - moved);
   }
   return Status::Ok;
 }
@@ -325,8 +279,7 @@ void MemoryManager::fence_writeback(PageTableEntry& pte) {
   if (pte.writeback_done == vt::TimePoint{}) return;
   vt::Domain& dom = rt_->machine().domain();
   if (pte.writeback_done > dom.now()) {
-    stats_.writeback_fences.fetch_add(1, std::memory_order_relaxed);
-    writeback_fences_counter().add(1);
+    bump(stats_.writeback_fences);
     dom.sleep_until(pte.writeback_done);
   }
   pte.writeback_done = vt::TimePoint{};
@@ -388,7 +341,7 @@ Status MemoryManager::on_copy_d2h(ContextId ctx, std::span<std::byte> dst, Virtu
   const auto [pte, offset] = locate(*mem, src);
   if (pte == nullptr) return Status::ErrorNoValidPte;
   if (offset + size > pte->size || dst.size() < size) {
-    stats_.bounds_rejections.fetch_add(1, std::memory_order_relaxed);
+    bump(stats_.bounds_rejections);
     return Status::ErrorSwapSizeMismatch;
   }
   // Table 1: "If (PTE.toCopy2Swap) cudaMemcpyDH" -- sync then serve from swap.
@@ -408,7 +361,7 @@ Status MemoryManager::on_copy_d2d(ContextId ctx, VirtualPtr dst, VirtualPtr src,
   const auto [dpte, dst_off] = locate(*mem, dst);
   if (spte == nullptr || dpte == nullptr) return Status::ErrorNoValidPte;
   if (src_off + size > spte->size || dst_off + size > dpte->size) {
-    stats_.bounds_rejections.fetch_add(1, std::memory_order_relaxed);
+    bump(stats_.bounds_rejections);
     return Status::ErrorSwapSizeMismatch;
   }
   // Resolve the source's authoritative copy into swap, then stage the
@@ -530,10 +483,9 @@ Status MemoryManager::swap_entry(CtxMem& mem, PageTableEntry& pte) {
   Status sync = Status::Ok;
   if (!pte.to_copy_2_swap) {
     // Clean eviction: the swap copy is already authoritative, no D2H at all.
-    stats_.clean_swap_skips.fetch_add(1, std::memory_order_relaxed);
+    bump(stats_.clean_swap_skips);
     if (config_.incremental_swap) {
-      stats_.dirty_bytes_saved.fetch_add(pte.size, std::memory_order_relaxed);
-      dirty_bytes_saved_counter().add(pte.size);
+      bump(stats_.dirty_bytes_saved, pte.size);
     }
   } else if (config_.async_writeback) {
     // Asynchronous write-back: snapshot the device bytes into swap now
@@ -563,12 +515,10 @@ Status MemoryManager::swap_entry(CtxMem& mem, PageTableEntry& pte) {
     }
     pte.to_copy_2_swap = false;
     if (ok(sync)) {
-      stats_.async_writebacks.fetch_add(1, std::memory_order_relaxed);
-      async_writebacks_counter().add(1);
-      stats_.swap_out_bytes.fetch_add(moved, std::memory_order_relaxed);
+      bump(stats_.async_writebacks);
+      bump(stats_.swap_out_bytes, moved);
       if (config_.incremental_swap) {
-        stats_.dirty_bytes_saved.fetch_add(pte.size - moved, std::memory_order_relaxed);
-        dirty_bytes_saved_counter().add(pte.size - moved);
+        bump(stats_.dirty_bytes_saved, pte.size - moved);
       }
     }
   } else {
@@ -587,8 +537,7 @@ Status MemoryManager::swap_entry(CtxMem& mem, PageTableEntry& pte) {
     // page-use stamps survive: they still describe the entry's heat.
     tlb_flush_entry(mem, pte);
     pte.upload_done = vt::TimePoint{};
-    stats_.page_evictions.fetch_add(page_count_of(pte), std::memory_order_relaxed);
-    page_evictions_counter().add(page_count_of(pte));
+    bump(stats_.page_evictions, page_count_of(pte));
   }
   lru_remove(mem, pte);
   // fetch_sub's return value decides "all resident bytes gone": a separate
@@ -597,8 +546,8 @@ Status MemoryManager::swap_entry(CtxMem& mem, PageTableEntry& pte) {
     mem.resident_gpu.store(0, std::memory_order_relaxed);
     ctx_lru_remove(mem);
   }
-  stats_.swapped_entries.fetch_add(1, std::memory_order_relaxed);
-  stats_.swap_bytes.fetch_add(pte.size, std::memory_order_relaxed);
+  bump(stats_.swapped_entries);
+  bump(stats_.swap_bytes, pte.size);
   swap_bytes_hist().observe(static_cast<double>(pte.size));
   return sync == Status::ErrorDeviceUnavailable ? Status::Ok : sync;
 }
@@ -771,7 +720,7 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
       }
       (void)swap_entry(*mem, *victim);
       if (!counted_intra) {
-        stats_.intra_app_swaps.fetch_add(1, std::memory_order_relaxed);
+        bump(stats_.intra_app_swaps);
         counted_intra = true;
         obs::emit_instant("intra-app-swap", "swap", obs::kRuntimePid, ctx.value, ctx.value);
       }
@@ -807,11 +756,9 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
       stamp_pages(*pte, pages, now_stamp.count());
       touched.emplace(pte, std::move(pages));
     }
-    stats_.tlb_hits.fetch_add(hits, std::memory_order_relaxed);
-    stats_.tlb_misses.fetch_add(misses, std::memory_order_relaxed);
-    if (hits > 0) tlb_hits_counter().add(hits);
+    bump(stats_.tlb_hits, hits);
+    bump(stats_.tlb_misses, misses);
     if (misses > 0) {
-      tlb_misses_counter().add(misses);
       rt_->machine().domain().sleep_for(vt::Duration{misses * kTlbMissNs});
     }
   }
@@ -866,13 +813,11 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
         pte->to_copy_2_dev = false;
         pte->host_dirty.clear();
       }
-      stats_.bulk_transfers.fetch_add(1, std::memory_order_relaxed);
+      bump(stats_.bulk_transfers);
     }
-    stats_.swap_in_bytes.fetch_add(bulk_bytes, std::memory_order_relaxed);
-    swap_in_bytes_counter().add(bulk_bytes);
+    bump(stats_.swap_in_bytes, bulk_bytes);
     if (config_.incremental_swap && flagged_bytes > bulk_bytes) {
-      stats_.dirty_bytes_saved.fetch_add(flagged_bytes - bulk_bytes, std::memory_order_relaxed);
-      dirty_bytes_saved_counter().add(flagged_bytes - bulk_bytes);
+      bump(stats_.dirty_bytes_saved, flagged_bytes - bulk_bytes);
     }
     bulk_h2d_bytes_hist().observe(static_cast<double>(bulk_bytes));
     if (config_.paging) {
@@ -885,8 +830,7 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
         faults += shipped.pages(config_.page_bytes, up.pte->size).size();
       }
       if (faults > 0) {
-        stats_.page_faults.fetch_add(faults, std::memory_order_relaxed);
-        page_faults_counter().add(faults);
+        bump(stats_.page_faults, faults);
       }
       page_fault_seconds_hist().observe(
           vt::to_seconds(rt_->machine().domain().now() - fault_start));
@@ -988,10 +932,8 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
       }
       if (shipped_pages > 0) {
         pte->to_copy_2_dev = !pte->host_dirty.empty();
-        stats_.prefetched_pages.fetch_add(shipped_pages, std::memory_order_relaxed);
-        prefetched_pages_counter().add(shipped_pages);
-        stats_.swap_in_bytes.fetch_add(shipped_bytes, std::memory_order_relaxed);
-        swap_in_bytes_counter().add(shipped_bytes);
+        bump(stats_.prefetched_pages, shipped_pages);
+        bump(stats_.swap_in_bytes, shipped_bytes);
       }
     }
   }
@@ -1032,7 +974,7 @@ bool MemoryManager::try_peer_move(CtxMem& mem, PageTableEntry& pte, GpuId gpu,
   // is exactly as (in)valid as before.
   mem.resident_gpu.store(gpu.value, std::memory_order_relaxed);
   ctx_lru_touch(mem, gpu.value, mem.last_use_ns.load(std::memory_order_relaxed));
-  stats_.peer_copies.fetch_add(1, std::memory_order_relaxed);
+  bump(stats_.peer_copies);
   return true;
 }
 
@@ -1453,36 +1395,18 @@ u64 MemoryManager::naive_image_bytes(ContextId ctx) const {
 }
 
 void MemoryManager::count_inter_app_swap() {
-  stats_.inter_app_swaps.fetch_add(1, std::memory_order_relaxed);
+  bump(stats_.inter_app_swaps);
 }
 
 Status MemoryManager::preempt_swap_out(ContextId ctx) {
   const Status s = swap_context(ctx);
-  if (ok(s)) stats_.preempt_swaps.fetch_add(1, std::memory_order_relaxed);
+  if (ok(s)) bump(stats_.preempt_swaps);
   return s;
 }
 
 MemStats MemoryManager::stats() const {
-  MemStats out;
-  out.intra_app_swaps = stats_.intra_app_swaps.load(std::memory_order_relaxed);
-  out.inter_app_swaps = stats_.inter_app_swaps.load(std::memory_order_relaxed);
-  out.swapped_entries = stats_.swapped_entries.load(std::memory_order_relaxed);
-  out.swap_bytes = stats_.swap_bytes.load(std::memory_order_relaxed);
-  out.bulk_transfers = stats_.bulk_transfers.load(std::memory_order_relaxed);
-  out.bounds_rejections = stats_.bounds_rejections.load(std::memory_order_relaxed);
-  out.peer_copies = stats_.peer_copies.load(std::memory_order_relaxed);
-  out.async_writebacks = stats_.async_writebacks.load(std::memory_order_relaxed);
-  out.writeback_fences = stats_.writeback_fences.load(std::memory_order_relaxed);
-  out.swap_out_bytes = stats_.swap_out_bytes.load(std::memory_order_relaxed);
-  out.swap_in_bytes = stats_.swap_in_bytes.load(std::memory_order_relaxed);
-  out.dirty_bytes_saved = stats_.dirty_bytes_saved.load(std::memory_order_relaxed);
-  out.clean_swap_skips = stats_.clean_swap_skips.load(std::memory_order_relaxed);
-  out.preempt_swaps = stats_.preempt_swaps.load(std::memory_order_relaxed);
-  out.page_faults = stats_.page_faults.load(std::memory_order_relaxed);
-  out.tlb_hits = stats_.tlb_hits.load(std::memory_order_relaxed);
-  out.tlb_misses = stats_.tlb_misses.load(std::memory_order_relaxed);
-  out.prefetched_pages = stats_.prefetched_pages.load(std::memory_order_relaxed);
-  out.page_evictions = stats_.page_evictions.load(std::memory_order_relaxed);
+  MemStats out = load_stats(stats_, kMemStatsFields);
+  out.shard_contention = contexts_.contention();
   return out;
 }
 

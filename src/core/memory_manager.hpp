@@ -47,6 +47,7 @@
 
 #include "common/interval_set.hpp"
 #include "common/sharded_map.hpp"
+#include "common/stats_table.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
 #include "common/vt.hpp"
@@ -145,7 +146,34 @@ struct MemStats {
   u64 tlb_misses = 0;
   u64 prefetched_pages = 0;  ///< pages paged in asynchronously
   u64 page_evictions = 0;    ///< pages freed by victim eviction
+  /// Page-table shard-lock acquisitions that found the shard busy (read from
+  /// the sharded map by stats(), not bumped).
+  u64 shard_contention = 0;
 };
+
+/// MemStats' fields under their QueryStats names ("stats.mm.<name>").
+inline constexpr auto kMemStatsFields = std::to_array<StatField<MemStats>>({
+    {"intra_app_swaps", &MemStats::intra_app_swaps},
+    {"inter_app_swaps", &MemStats::inter_app_swaps},
+    {"swapped_entries", &MemStats::swapped_entries},
+    {"swap_bytes", &MemStats::swap_bytes},
+    {"bulk_transfers", &MemStats::bulk_transfers},
+    {"bounds_rejections", &MemStats::bounds_rejections},
+    {"peer_copies", &MemStats::peer_copies},
+    {"async_writebacks", &MemStats::async_writebacks},
+    {"writeback_fences", &MemStats::writeback_fences},
+    {"swap_out_bytes", &MemStats::swap_out_bytes},
+    {"swap_in_bytes", &MemStats::swap_in_bytes},
+    {"dirty_bytes_saved", &MemStats::dirty_bytes_saved},
+    {"clean_swap_skips", &MemStats::clean_swap_skips},
+    {"preempt_swaps", &MemStats::preempt_swaps},
+    {"page_faults", &MemStats::page_faults},
+    {"tlb_hits", &MemStats::tlb_hits},
+    {"tlb_misses", &MemStats::tlb_misses},
+    {"prefetched_pages", &MemStats::prefetched_pages},
+    {"page_evictions", &MemStats::page_evictions},
+    {"shard_contention", &MemStats::shard_contention},
+});
 
 class MemoryManager {
  public:
@@ -306,8 +334,6 @@ class MemoryManager {
   void count_inter_app_swap();
 
   MemStats stats() const;
-  /// Page-table shard-lock acquisitions that found the shard busy.
-  u64 shard_contention() const { return contexts_.contention(); }
   Config config() const { return config_; }
 
  private:
@@ -446,28 +472,8 @@ class MemoryManager {
   /// Lock-free virtual-address bump allocator (256-aligned spans).
   std::atomic<u64> va_next_{1ull << 48};
 
-  struct AtomicMemStats {
-    std::atomic<u64> intra_app_swaps{0};
-    std::atomic<u64> inter_app_swaps{0};
-    std::atomic<u64> swapped_entries{0};
-    std::atomic<u64> swap_bytes{0};
-    std::atomic<u64> bulk_transfers{0};
-    std::atomic<u64> bounds_rejections{0};
-    std::atomic<u64> peer_copies{0};
-    std::atomic<u64> async_writebacks{0};
-    std::atomic<u64> writeback_fences{0};
-    std::atomic<u64> swap_out_bytes{0};
-    std::atomic<u64> swap_in_bytes{0};
-    std::atomic<u64> dirty_bytes_saved{0};
-    std::atomic<u64> clean_swap_skips{0};
-    std::atomic<u64> preempt_swaps{0};
-    std::atomic<u64> page_faults{0};
-    std::atomic<u64> tlb_hits{0};
-    std::atomic<u64> tlb_misses{0};
-    std::atomic<u64> prefetched_pages{0};
-    std::atomic<u64> page_evictions{0};
-  };
-  mutable AtomicMemStats stats_;
+  /// Bumped concurrently through std::atomic_ref (bump); read by stats().
+  mutable MemStats stats_;
 
   /// Inter-application victim directory: contexts with device residency,
   /// keyed by (gpu, last_use_ns, ctx) so victim_candidates() is an in-order

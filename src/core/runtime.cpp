@@ -1,6 +1,7 @@
 #include "core/runtime.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <optional>
 #include <set>
@@ -26,30 +27,23 @@ obs::Histogram& launch_seconds_hist() {
   return h;
 }
 
-obs::Counter& recoveries_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kRuntimeRecoveries);
-  return c;
-}
-
-obs::Counter& offload_fallbacks_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kRuntimeOffloadFallbacks);
-  return c;
-}
-
-obs::Counter& dispatch_lock_contended_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kRuntimeDispatchLockContended);
-  return c;
+/// Appends one gauge per field `table` lists, named `prefix` + the field's
+/// name and valued from `stats`: a layer's rows in a QueryStats reply.
+template <class S, size_t N>
+void append_stat_gauges(std::vector<obs::MetricValue>& rows, const std::string& prefix,
+                        const S& stats, const std::array<StatField<S>, N>& table) {
+  for (const StatField<S>& field : table) {
+    obs::MetricValue& row = rows.emplace_back();
+    row.name = prefix + field.name;
+    row.kind = obs::MetricKind::Gauge;
+    row.gauge = field.value(stats);
+  }
 }
 
 obs::Histogram& dispatch_lock_wait_hist() {
   static obs::Histogram& h = obs::metrics().histogram(
       obs::names::kRuntimeDispatchLockWaitSeconds, obs::default_seconds_edges());
   return h;
-}
-
-obs::Counter& cluster_migrations_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kClusterMigrations);
-  return c;
 }
 
 obs::Counter& migration_bytes_counter() {
@@ -64,11 +58,6 @@ obs::Counter& migration_precopy_bytes_counter() {
 
 obs::Counter& migration_stop_copy_bytes_counter() {
   static obs::Counter& c = obs::metrics().counter(obs::names::kMigrationStopCopyBytes);
-  return c;
-}
-
-obs::Counter& migration_refused_counter() {
-  static obs::Counter& c = obs::metrics().counter(obs::names::kMigrationRefused);
   return c;
 }
 
@@ -359,7 +348,7 @@ Runtime::Session* Runtime::open_session_locked(
     return nullptr;
   }
   ++open_connections_;
-  stats_.connections.fetch_add(1, std::memory_order_relaxed);
+  bump(stats_.connections);
   sessions_.push_back(std::make_unique<Session>(*this, std::move(channel), served_inline));
   return sessions_.back().get();
 }
@@ -375,10 +364,7 @@ int Runtime::load() const {
   return std::max(scheduler_->waiting_count(), active - scheduler_->vgpu_count());
 }
 
-void Runtime::set_node_identity(u64 id, std::string name) {
-  node_id_ = id;
-  node_name_ = std::move(name);
-}
+void Runtime::set_node_identity(u64 id) { node_id_ = id; }
 
 transport::LoadSnapshot Runtime::load_snapshot() const {
   // Heartbeat ticks call this on whichever thread advances the clock, which
@@ -424,26 +410,11 @@ transport::LoadSnapshot Runtime::load_snapshot() const {
   return snap;
 }
 
-RuntimeStats Runtime::stats() const {
-  RuntimeStats out;
-  out.connections = stats_.connections.load(std::memory_order_relaxed);
-  out.offloaded_connections = stats_.offloaded_connections.load(std::memory_order_relaxed);
-  out.launches = stats_.launches.load(std::memory_order_relaxed);
-  out.recoveries = stats_.recoveries.load(std::memory_order_relaxed);
-  out.auto_checkpoints = stats_.auto_checkpoints.load(std::memory_order_relaxed);
-  out.swap_retry_backoffs = stats_.swap_retry_backoffs.load(std::memory_order_relaxed);
-  out.offload_fallbacks = stats_.offload_fallbacks.load(std::memory_order_relaxed);
-  out.dispatch_lock_contended = stats_.dispatch_lock_contended.load(std::memory_order_relaxed);
-  out.migrations_out = stats_.migrations_out.load(std::memory_order_relaxed);
-  out.migrations_in = stats_.migrations_in.load(std::memory_order_relaxed);
-  out.migrations_refused = stats_.migrations_refused.load(std::memory_order_relaxed);
-  return out;
-}
+RuntimeStats Runtime::stats() const { return load_stats(stats_, kRuntimeStatsFields); }
 
 void Runtime::timed_lock(ContextLock& lk) const {
   if (lk.try_lock()) return;
-  stats_.dispatch_lock_contended.fetch_add(1, std::memory_order_relaxed);
-  dispatch_lock_contended_counter().add(1);
+  bump(stats_.dispatch_lock_contended);
   vt::StopWatch watch(rt_->machine().domain());
   lk.lock();
   dispatch_lock_wait_hist().observe(watch.elapsed_seconds());
@@ -454,93 +425,25 @@ std::unique_lock<ContextLock> Runtime::lock_context(ContextLock& lk) const {
   return std::unique_lock<ContextLock>(lk, std::adopt_lock);
 }
 
-void Runtime::publish_metrics() const {
-  obs::MetricsRegistry& reg = obs::metrics();
-  const auto gauge = [&](const std::string& name, double v) { reg.gauge(name).set(v); };
-
-  const RuntimeStats rs = stats();
-  const std::string rt_prefix = obs::names::kStatsRuntimePrefix;
-  gauge(rt_prefix + "connections", static_cast<double>(rs.connections));
-  gauge(rt_prefix + "offloaded_connections", static_cast<double>(rs.offloaded_connections));
-  gauge(rt_prefix + "launches", static_cast<double>(rs.launches));
-  gauge(rt_prefix + "recoveries", static_cast<double>(rs.recoveries));
-  gauge(rt_prefix + "auto_checkpoints", static_cast<double>(rs.auto_checkpoints));
-  gauge(rt_prefix + "swap_retry_backoffs", static_cast<double>(rs.swap_retry_backoffs));
-  gauge(rt_prefix + "offload_fallbacks", static_cast<double>(rs.offload_fallbacks));
-  gauge(rt_prefix + "dispatch_lock_contended",
-        static_cast<double>(rs.dispatch_lock_contended));
-  gauge(rt_prefix + "migrations_out", static_cast<double>(rs.migrations_out));
-  gauge(rt_prefix + "migrations_in", static_cast<double>(rs.migrations_in));
-  gauge(rt_prefix + "migrations_refused", static_cast<double>(rs.migrations_refused));
-
-  // Per-node offload-health breakdown: with several daemons co-hosted in
-  // one process (cluster tests, gpuvm_run batches) the "stats.runtime.*"
-  // gauges above reflect whichever node published last; these keep each
-  // node's numbers visible through a single QueryStats.
-  if (!node_name_.empty()) {
-    const std::string prefix = obs::names::kStatsNodePrefix + node_name_ + ".";
-    gauge(prefix + "offloaded_connections", static_cast<double>(rs.offloaded_connections));
-    gauge(prefix + "offload_fallbacks", static_cast<double>(rs.offload_fallbacks));
-    gauge(prefix + "recoveries", static_cast<double>(rs.recoveries));
-    gauge(prefix + "connections", static_cast<double>(rs.connections));
-    gauge(prefix + "migrations_out", static_cast<double>(rs.migrations_out));
-    gauge(prefix + "migrations_in", static_cast<double>(rs.migrations_in));
-    gauge(prefix + "migrations_refused", static_cast<double>(rs.migrations_refused));
-  }
-
-  const SchedulerStats ss = scheduler_->stats();
-  const std::string sched_prefix = obs::names::kStatsSchedPrefix;
-  gauge(sched_prefix + "binds", static_cast<double>(ss.binds));
-  gauge(sched_prefix + "unbinds", static_cast<double>(ss.unbinds));
-  gauge(sched_prefix + "migrations", static_cast<double>(ss.migrations));
-  gauge(sched_prefix + "requeues", static_cast<double>(ss.requeues));
-  gauge(sched_prefix + "preemptions", static_cast<double>(ss.preemptions));
-  gauge(sched_prefix + "thrash_trips", static_cast<double>(ss.thrash_trips));
-  gauge(sched_prefix + "quantum_ns", scheduler_->current_quantum_seconds() * 1e9);
-
-  const MemStats ms = mm_->stats();
-  const std::string mm_prefix = obs::names::kStatsMmPrefix;
-  gauge(mm_prefix + "swapped_entries", static_cast<double>(ms.swapped_entries));
-  gauge(obs::names::kStatsMmSwapBytes, static_cast<double>(ms.swap_bytes));
-  gauge(obs::names::kStatsMmIntraAppSwaps, static_cast<double>(ms.intra_app_swaps));
-  gauge(obs::names::kStatsMmInterAppSwaps, static_cast<double>(ms.inter_app_swaps));
-  gauge(mm_prefix + "bulk_transfers", static_cast<double>(ms.bulk_transfers));
-  gauge(mm_prefix + "peer_copies", static_cast<double>(ms.peer_copies));
-  gauge(mm_prefix + "bounds_rejections", static_cast<double>(ms.bounds_rejections));
-  gauge(mm_prefix + "async_writebacks", static_cast<double>(ms.async_writebacks));
-  gauge(mm_prefix + "writeback_fences", static_cast<double>(ms.writeback_fences));
-  gauge(mm_prefix + "swap_out_bytes", static_cast<double>(ms.swap_out_bytes));
-  gauge(mm_prefix + "swap_in_bytes", static_cast<double>(ms.swap_in_bytes));
-  gauge(mm_prefix + "dirty_bytes_saved", static_cast<double>(ms.dirty_bytes_saved));
-  gauge(mm_prefix + "clean_swap_skips", static_cast<double>(ms.clean_swap_skips));
-  gauge(mm_prefix + "preempt_swaps", static_cast<double>(ms.preempt_swaps));
-  gauge(mm_prefix + "page_faults", static_cast<double>(ms.page_faults));
-  gauge(mm_prefix + "tlb_hits", static_cast<double>(ms.tlb_hits));
-  gauge(mm_prefix + "tlb_misses", static_cast<double>(ms.tlb_misses));
-  gauge(mm_prefix + "prefetched_pages", static_cast<double>(ms.prefetched_pages));
-  gauge(mm_prefix + "page_evictions", static_cast<double>(ms.page_evictions));
-  gauge(mm_prefix + "shard_contention", static_cast<double>(mm_->shard_contention()));
-
-  const vt::Domain::ClockStats cs = rt_->machine().domain().clock_stats();
-  gauge(obs::names::kStatsVtAdvances, static_cast<double>(cs.advances));
-  gauge(obs::names::kStatsVtEventsDispatched, static_cast<double>(cs.events_dispatched));
-  gauge(obs::names::kStatsVtSleepersPeak, static_cast<double>(cs.sleepers_peak));
-
+obs::MetricsSnapshot Runtime::stats_snapshot() const {
+  obs::MetricsSnapshot snap = obs::metrics().snapshot();
+  std::vector<obs::MetricValue>& rows = snap.values;
+  append_stat_gauges(rows, obs::names::kStatsRuntimePrefix, stats(), kRuntimeStatsFields);
+  append_stat_gauges(rows, obs::names::kStatsSchedPrefix, scheduler_->stats(),
+                     kSchedulerStatsFields);
+  append_stat_gauges(rows, obs::names::kStatsMmPrefix, mm_->stats(), kMemStatsFields);
+  append_stat_gauges(rows, obs::names::kStatsVtPrefix, rt_->machine().domain().clock_stats(),
+                     vt::kClockStatsFields);
   for (const GpuId gpu : rt_->machine().all_gpus()) {
     const sim::SimGpu* dev = rt_->machine().gpu(gpu);
     if (dev == nullptr) continue;
-    const sim::GpuStats gs = dev->stats();
-    const std::string prefix = "stats.gpu" + std::to_string(gpu.value) + ".";
-    gauge(prefix + "mallocs", static_cast<double>(gs.mallocs));
-    gauge(prefix + "frees", static_cast<double>(gs.frees));
-    gauge(prefix + "kernels_launched", static_cast<double>(gs.kernels_launched));
-    gauge(prefix + "consolidated_kernels", static_cast<double>(gs.consolidated_kernels));
-    gauge(prefix + "bytes_to_device", static_cast<double>(gs.bytes_to_device));
-    gauge(prefix + "bytes_from_device", static_cast<double>(gs.bytes_from_device));
-    gauge(prefix + "failed_ops", static_cast<double>(gs.failed_ops));
-    gauge(prefix + "compute_busy_seconds", gs.compute_busy_seconds);
-    gauge(prefix + "copy_busy_seconds", gs.copy_busy_seconds);
+    append_stat_gauges(rows, obs::names::kStatsGpuPrefix + std::to_string(gpu.value) + ".",
+                       dev->stats(), sim::kGpuStatsFields);
   }
+  std::sort(rows.begin(), rows.end(), [](const obs::MetricValue& a, const obs::MetricValue& b) {
+    return a.name < b.name;
+  });
+  return snap;
 }
 
 void Runtime::drain() {
@@ -725,7 +628,7 @@ bool Runtime::Session::offload(const Message& msg, const transport::HelloPayload
                               obs::kRuntimePid, obs::kOffloadTidBase + msg.connection.value);
           }
         }
-        rt_.stats_.offloaded_connections.fetch_add(1, std::memory_order_relaxed);
+        bump(rt_.stats_.offloaded_connections);
         // Every later call relays under the session span.
         if (span != 0) trace_.parent_span = span;
         peer_ = std::move(peer);
@@ -739,8 +642,7 @@ bool Runtime::Session::offload(const Message& msg, const transport::HelloPayload
   peer->close();
   // Peer unreachable: degrade gracefully by servicing the connection
   // locally instead of abandoning the application.
-  rt_.stats_.offload_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  offload_fallbacks_counter().add(1);
+  bump(rt_.stats_.offload_fallbacks);
   log::info("runtime: offload peer unreachable, serving connection locally");
   return false;
 }
@@ -1017,7 +919,7 @@ Status Runtime::apply_migrate_resume(Context& ctx, const Message& msg) {
       ctx.pending_args.push_back(ka);
     }
   }
-  stats_.migrations_in.fetch_add(1, std::memory_order_relaxed);
+  bump(stats_.migrations_in);
   obs::emit_instant("migrate-resume", "migrate", obs::kRuntimePid, ctx.id.value,
                     ctx.id.value);
   log::info("runtime: resumed migrated ctx %llu (%zu entries of delta)",
@@ -1034,8 +936,7 @@ StatusOr<MigrationReport> Runtime::migrate_context(
   if (vt::Domain::current() == nullptr) attach.emplace(dom);
 
   const auto refuse = [&](Status s) -> StatusOr<MigrationReport> {
-    stats_.migrations_refused.fetch_add(1, std::memory_order_relaxed);
-    migration_refused_counter().add(1);
+    bump(stats_.migrations_refused);
     return s;
   };
 
@@ -1271,8 +1172,7 @@ StatusOr<MigrationReport> Runtime::migrate_context(
   report.stop_copy_seconds = stop_watch.elapsed_seconds();
   ctx->lock.unlock();
 
-  stats_.migrations_out.fetch_add(1, std::memory_order_relaxed);
-  cluster_migrations_counter().add(1);
+  bump(stats_.migrations_out);
   const u64 total = report.precopy_bytes + report.stop_copy_bytes;
   migration_bytes_counter().add(total);
   migration_precopy_bytes_counter().add(report.precopy_bytes);
@@ -1476,9 +1376,8 @@ Message Runtime::handle(Context& ctx, transport::MessageChannel& channel, const 
     case Opcode::QueryStats: {
       // Optional op: only peers that negotiated the capability may ask.
       if ((caps & protocol::caps::kQueryStats) == 0) return reply(Status::ErrorNotSupported);
-      publish_metrics();
       WireWriter w;
-      obs::metrics().snapshot().encode(w);
+      stats_snapshot().encode(w);
       return reply(Status::Ok, w.take());
     }
     default:
@@ -1567,7 +1466,7 @@ Status Runtime::do_launch(Context& ctx, transport::MessageChannel& channel,
   }
 
   vt::Domain& dom = rt_->machine().domain();
-  stats_.launches.fetch_add(1, std::memory_order_relaxed);
+  bump(stats_.launches);
   // End-to-end launch latency: queueing for a vGPU, materialization and
   // swaps, the kernel itself, any recovery replays.
   obs::SpanScope launch_span(name, "launch", obs::kRuntimePid, ctx.id.value, ctx.id.value);
@@ -1581,8 +1480,7 @@ Status Runtime::do_launch(Context& ctx, transport::MessageChannel& channel,
     if (!acquired) return acquired.status();
     const Scheduler::Binding binding = acquired.value();
     if (binding.recovered_from_failure) {
-      stats_.recoveries.fetch_add(1, std::memory_order_relaxed);
-      recoveries_counter().add(1);
+      bump(stats_.recoveries);
       obs::emit_instant("recovery-replay", "recover", obs::kRuntimePid, ctx.id.value,
                         ctx.id.value);
     }
@@ -1635,8 +1533,7 @@ Status Runtime::do_launch(Context& ctx, transport::MessageChannel& channel,
             ++recovery_attempts;
             obs::emit_instant("kernel-lost", "recover", obs::kRuntimePid, ctx.id.value,
                               ctx.id.value);
-            recoveries_counter().add(1);
-            stats_.recoveries.fetch_add(1, std::memory_order_relaxed);
+            bump(stats_.recoveries);
             break;
           }
           ctx.gpu_time_used_seconds += elapsed;
@@ -1645,7 +1542,7 @@ Status Runtime::do_launch(Context& ctx, transport::MessageChannel& channel,
             // Automatic checkpoint after long kernels bounds the restart
             // penalty of a later failure (section 4.6).
             (void)mm_->checkpoint(ctx.id);
-            stats_.auto_checkpoints.fetch_add(1, std::memory_order_relaxed);
+            bump(stats_.auto_checkpoints);
           }
           next = Next::Done;
           break;
@@ -1699,7 +1596,7 @@ Status Runtime::do_launch(Context& ctx, transport::MessageChannel& channel,
           (void)mm_->swap_context(ctx.id);
         }
         scheduler_->release(ctx);
-        stats_.swap_retry_backoffs.fetch_add(1, std::memory_order_relaxed);
+        bump(stats_.swap_retry_backoffs);
         dom.sleep_for(vt::from_millis(400));
         continue;
       }

@@ -17,12 +17,12 @@
 // channel without an in-process sender (serve_channel: unix sockets,
 // gpuvmd) gets a serving thread; a heartbeat subscription is a vt::Timer
 // that the clock engine runs. A call locks only its context's ContextLock,
-// the context table and per-context page tables are sharded maps, counters
-// are relaxed atomics, and the daemon-wide mu_ guards nothing but
-// connection bookkeeping and the CUDA-4 app-context registry. Tenants
-// contend only on the scheduler (when competing for vGPUs) and on the
-// device engines themselves -- never on a daemon-wide lock, so a tenant
-// queued for a vGPU cannot stall the others.
+// the context table and per-context page tables are sharded maps, counts
+// are relaxed atomic adds (common/stats_table.hpp), and the daemon-wide mu_
+// guards nothing but connection bookkeeping and the CUDA-4 app-context
+// registry. Tenants contend only on the scheduler (when competing for
+// vGPUs) and on the device engines themselves -- never on a daemon-wide
+// lock, so a tenant queued for a vGPU cannot stall the others.
 #pragma once
 
 #include <atomic>
@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "common/sharded_map.hpp"
+#include "common/stats_table.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
 #include "common/wire.hpp"
@@ -40,6 +41,7 @@
 #include "core/memory_manager.hpp"
 #include "core/scheduler.hpp"
 #include "cudart/cudart.hpp"
+#include "obs/metrics.hpp"
 #include "transport/channel.hpp"
 
 namespace gpuvm::core {
@@ -111,6 +113,21 @@ struct RuntimeStats {
                                ///< peer, busy context, transport failure)
 };
 
+/// RuntimeStats' fields under their QueryStats names ("stats.runtime.<name>").
+inline constexpr auto kRuntimeStatsFields = std::to_array<StatField<RuntimeStats>>({
+    {"connections", &RuntimeStats::connections},
+    {"offloaded_connections", &RuntimeStats::offloaded_connections},
+    {"launches", &RuntimeStats::launches},
+    {"recoveries", &RuntimeStats::recoveries},
+    {"auto_checkpoints", &RuntimeStats::auto_checkpoints},
+    {"swap_retry_backoffs", &RuntimeStats::swap_retry_backoffs},
+    {"offload_fallbacks", &RuntimeStats::offload_fallbacks},
+    {"dispatch_lock_contended", &RuntimeStats::dispatch_lock_contended},
+    {"migrations_out", &RuntimeStats::migrations_out},
+    {"migrations_in", &RuntimeStats::migrations_in},
+    {"migrations_refused", &RuntimeStats::migrations_refused},
+});
+
 /// What one committed migration shipped (Runtime::migrate_context).
 struct MigrationReport {
   int precopy_rounds = 0;      ///< delta rounds actually run (excl. round 0)
@@ -159,11 +176,12 @@ class Runtime {
   RuntimeStats stats() const;
   const RuntimeConfig& config() const { return config_; }
 
-  /// Names this daemon for cluster telemetry: `id` stamps LoadSnapshot.node,
-  /// `name` prefixes the per-node "stats.node.<name>.*" gauges. Call once,
-  /// before serving connections (the cluster layer does so at node
-  /// construction).
-  void set_node_identity(u64 id, std::string name);
+  /// Identifies this daemon in cluster telemetry: `id` stamps
+  /// LoadSnapshot.node. Call once, before serving connections (the cluster
+  /// layer does so at node construction). QueryStats replies need no name:
+  /// each daemon answers with its own counts, and the head node that polls
+  /// several daemons namespaces the replies by peer (obs/aggregate.hpp).
+  void set_node_identity(u64 id);
   u64 node_id() const { return node_id_; }
 
   /// Point-in-time load telemetry (the QueryLoad answer): queue depth,
@@ -172,12 +190,6 @@ class Runtime {
   /// seq and the p50 window per report. Takes only leaf locks, never the
   /// scheduler's or this daemon's mu_: heartbeat ticks call it on any thread.
   transport::LoadSnapshot load_snapshot() const;
-
-  /// Publishes the per-layer stats structs (runtime, scheduler, memory
-  /// manager, every GPU) into the global obs registry as "stats.*" gauges.
-  /// Called right before a registry snapshot (QueryStats, --stats dumps) so
-  /// the snapshot agrees with stats().
-  void publish_metrics() const;
 
   /// Blocks until all currently-open connections have finished (used by
   /// tests and the batch harness between phases). A connection finishes
@@ -210,6 +222,11 @@ class Runtime {
   Session* open_session_locked(std::unique_ptr<transport::MessageChannel> channel,
                                bool served_inline,
                                std::vector<std::unique_ptr<Session>>& finished);
+
+  /// The QueryStats answer: the process registry's snapshot plus this
+  /// daemon's own "stats.*" gauges -- its runtime, scheduler and memory
+  /// manager, its machine's GPUs and its clock domain -- sorted by name.
+  obs::MetricsSnapshot stats_snapshot() const;
 
   /// Dispatches one application message; returns the reply.
   transport::Message handle(Context& ctx, transport::MessageChannel& channel,
@@ -257,7 +274,6 @@ class Runtime {
 
   /// Cluster identity (set_node_identity): fixed before serving starts.
   u64 node_id_ = 0;
-  std::string node_name_;
 
   /// Context table, sharded by id: lookups on the dispatch hot path never
   /// serialize unrelated tenants.
@@ -280,20 +296,8 @@ class Runtime {
 
   std::function<std::unique_ptr<transport::MessageChannel>()> peer_factory_;
 
-  struct AtomicRuntimeStats {
-    std::atomic<u64> connections{0};
-    std::atomic<u64> offloaded_connections{0};
-    std::atomic<u64> launches{0};
-    std::atomic<u64> recoveries{0};
-    std::atomic<u64> auto_checkpoints{0};
-    std::atomic<u64> swap_retry_backoffs{0};
-    std::atomic<u64> offload_fallbacks{0};
-    std::atomic<u64> dispatch_lock_contended{0};
-    std::atomic<u64> migrations_out{0};
-    std::atomic<u64> migrations_in{0};
-    std::atomic<u64> migrations_refused{0};
-  };
-  mutable AtomicRuntimeStats stats_;
+  /// Bumped concurrently through std::atomic_ref (bump); read by stats().
+  mutable RuntimeStats stats_;
 };
 
 }  // namespace gpuvm::core

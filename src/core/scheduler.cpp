@@ -69,8 +69,6 @@ Scheduler::Scheduler(cudart::CudaRt& rt, MemoryManager& mm, Config config)
     policy_ = std::move(make_scheduling_policy("fcfs").value());
   }
   if (policy_->preemptive()) {
-    obs::metrics().gauge(obs::names::kSchedQuantumNs)
-        .set(governor_.quantum_seconds() * 1e9);
     pump_ = vt::Thread(rt_->machine().domain(), [this] { pump_loop(); });
   }
 }
@@ -122,7 +120,6 @@ void Scheduler::remove_device(GpuId gpu) {
       bindings_.erase(slot->bound);
       unbind_slot_locked(slot.get());
       ++stats_.requeues;
-      obs::metrics().counter(obs::names::kSchedRequeues).add(1);
     }
   }
   match_locked();
@@ -318,10 +315,7 @@ Result<Scheduler::Binding> Scheduler::acquire(Context& ctx) {
   }
   ctx.state.store(ContextState::Assigned, std::memory_order_release);
   ++stats_.binds;
-  if (waiter.granted->migrated && !recovered) {
-    ++stats_.migrations;
-    obs::metrics().counter(obs::names::kSchedMigrations).add(1);
-  }
+  if (waiter.granted->migrated && !recovered) ++stats_.migrations;
   waiter.granted->recovered_from_failure = recovered;
   obs::emit_instant(waiter.granted->migrated ? "bind (migrated)" : "bind", "sched",
                     obs::kRuntimePid, ctx.id.value, ctx.id.value);
@@ -361,7 +355,6 @@ Status Scheduler::preempt(Context& ctx) {
   ctx.state.store(ContextState::Detached, std::memory_order_release);
   ++stats_.unbinds;
   ++stats_.preemptions;
-  obs::metrics().counter(obs::names::kSchedPreemptions).add(1);
   obs::emit_instant("preempt", "sched", obs::kRuntimePid, ctx.id.value, ctx.id.value);
   policy_->on_preempt(ctx, now);
   // Every preemption closes one rotation window for the governor.
@@ -388,11 +381,7 @@ void Scheduler::governor_window_locked() {
       governor_.on_window(bytes - window_swap_bytes_, binds - window_binds_);
   window_swap_bytes_ = bytes;
   window_binds_ = binds;
-  obs::metrics().gauge(obs::names::kSchedQuantumNs).set(quantum * 1e9);
-  if (governor_.trips() != governor_trips_seen_) {
-    obs::metrics().counter(obs::names::kSchedThrashTrips)
-        .add(governor_.trips() - governor_trips_seen_);
-    governor_trips_seen_ = governor_.trips();
+  if (governor_.trips() != stats_.thrash_trips) {
     stats_.thrash_trips = governor_.trips();
     log::info("scheduler: thrash governor raised quantum to %.3f ms",
               quantum * 1e3);
@@ -542,12 +531,9 @@ bool Scheduler::faster_gpu_idle(GpuId current) const {
 
 SchedulerStats Scheduler::stats() const {
   std::unique_lock lk(mu_);
-  return stats_;
-}
-
-double Scheduler::current_quantum_seconds() const {
-  std::unique_lock lk(mu_);
-  return governor_.quantum_seconds();
+  SchedulerStats out = stats_;
+  out.quantum_ns = governor_.quantum_seconds() * 1e9;
+  return out;
 }
 
 std::vector<Scheduler::SlotSnapshot> Scheduler::slots_snapshot() const {

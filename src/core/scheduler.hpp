@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "common/stats_table.hpp"
 #include "common/status.hpp"
 #include "common/tuning.hpp"
 #include "common/types.hpp"
@@ -48,7 +49,19 @@ struct SchedulerStats {
   u64 preemptions = 0;  ///< bindings revoked by quantum expiry (victim's
                         ///< dirty intervals swapped out, context re-queues)
   u64 thrash_trips = 0; ///< anti-thrashing governor quantum escalations
+  double quantum_ns = 0.0;  ///< current preemption quantum, after governor trips
 };
+
+/// SchedulerStats' fields under their QueryStats names ("stats.sched.<name>").
+inline constexpr auto kSchedulerStatsFields = std::to_array<StatField<SchedulerStats>>({
+    {"binds", &SchedulerStats::binds},
+    {"unbinds", &SchedulerStats::unbinds},
+    {"migrations", &SchedulerStats::migrations},
+    {"requeues", &SchedulerStats::requeues},
+    {"preemptions", &SchedulerStats::preemptions},
+    {"thrash_trips", &SchedulerStats::thrash_trips},
+    {"quantum_ns", &SchedulerStats::quantum_ns},
+});
 
 /// The scheduling knobs, in one place: node-level binding policy, the
 /// preemption quantum and its governor, and the cluster-level dispatch
@@ -247,8 +260,6 @@ class Scheduler {
   /// its CPU phase so it can migrate (Figure 9's load balancing).
   bool faster_gpu_idle(GpuId current) const;
   SchedulerStats stats() const;
-  /// The governor's current quantum (== config quantum until a trip).
-  double current_quantum_seconds() const;
 
   /// Consistent snapshot of every vGPU slot (chaos invariant checking).
   struct SlotSnapshot {
@@ -305,8 +316,8 @@ class Scheduler {
   /// Body of the quantum-expiry pump thread (preemptive policies only).
   void pump_loop();
 
-  /// Feeds the governor one rotation window (mu_ held); updates the
-  /// quantum gauge and trip counter.
+  /// Feeds the governor one rotation window (mu_ held); updates the trip
+  /// count.
   void governor_window_locked();
 
   /// Republishes load_ from slots_, waiting_ and bindings_ (mu_ held).
@@ -341,7 +352,6 @@ class Scheduler {
   /// Governor window baseline (swap traffic / binds at the last window).
   u64 window_swap_bytes_ = 0;
   u64 window_binds_ = 0;
-  u64 governor_trips_seen_ = 0;
   vt::Thread pump_;  // last member: joins before the rest tears down
 };
 

@@ -1,14 +1,16 @@
-// MetricsRegistry: one namespace of counters, gauges and histograms for
-// the whole stack.
+// MetricsRegistry: the process-wide instruments -- counters, gauges and
+// histograms that no single node owns: latency and size histograms, the
+// transport counters, cudart calls, chaos events, the head node's
+// directory and dispatch counters and the migration byte totals. Hot
+// paths update them through cached handles.
 //
-// The four per-layer stats structs (RuntimeStats, SchedulerStats, MemStats,
-// GpuStats) are precise but disconnected: each layer snapshots its own and
-// nothing ties them together. The registry is the unifying layer — hot
-// paths update live counters/histograms through cached handles (queue-wait,
-// launch latency, swap bytes), the stats structs are published into it as
-// gauges at snapshot time, and one MetricsSnapshot covers everything. A
-// snapshot serializes over the wire protocol (the QueryStats op) so a
-// client can poll a running daemon.
+// Per-node counts are not kept here. Each layer (Runtime, Scheduler,
+// MemoryManager, SimGpu) keeps its own in its stats struct, the only store
+// of those counts (common/stats_table.hpp). A daemon answers the QueryStats
+// op with Runtime::stats_snapshot(): this registry's snapshot plus the
+// serving daemon's own "stats.*" gauges rendered from its structs. A
+// MetricsSnapshot serializes over the wire protocol, so a client can poll a
+// running daemon.
 //
 // Handle discipline: counter()/gauge()/histogram() take a mutex and do a
 // map lookup — call them once at setup and cache the returned reference
@@ -34,8 +36,6 @@ namespace gpuvm::obs {
 class Counter {
  public:
   void add(u64 delta = 1) { value_.fetch_add(delta, std::memory_order_relaxed); }
-  /// Absolute store, for mirroring an externally maintained total.
-  void set(u64 value) { value_.store(value, std::memory_order_relaxed); }
   u64 value() const { return value_.load(std::memory_order_relaxed); }
   void reset() { value_.store(0, std::memory_order_relaxed); }
 
@@ -109,8 +109,8 @@ struct MetricValue {
   double sum = 0.0;
 };
 
-/// Point-in-time copy of every metric, ordered by name. Wire-serializable
-/// for the QueryStats op.
+/// Point-in-time copy of metrics, ordered by name. Wire-serializable for
+/// the QueryStats op.
 struct MetricsSnapshot {
   std::vector<MetricValue> values;
 

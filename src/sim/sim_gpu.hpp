@@ -24,6 +24,7 @@
 #include <span>
 #include <vector>
 
+#include "common/stats_table.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
 #include "common/vt.hpp"
@@ -49,6 +50,21 @@ struct GpuStats {
   double compute_busy_seconds = 0.0;
   double copy_busy_seconds = 0.0;
 };
+
+/// GpuStats' fields under their QueryStats names ("stats.gpu<N>.<name>").
+/// The fault-injection counts (injected_failures, alloc_faults) serve tests
+/// and chaos checks and stay out of replies.
+inline constexpr auto kGpuStatsFields = std::to_array<StatField<GpuStats>>({
+    {"mallocs", &GpuStats::mallocs},
+    {"frees", &GpuStats::frees},
+    {"kernels_launched", &GpuStats::kernels_launched},
+    {"consolidated_kernels", &GpuStats::consolidated_kernels},
+    {"bytes_to_device", &GpuStats::bytes_to_device},
+    {"bytes_from_device", &GpuStats::bytes_from_device},
+    {"failed_ops", &GpuStats::failed_ops},
+    {"compute_busy_seconds", &GpuStats::compute_busy_seconds},
+    {"copy_busy_seconds", &GpuStats::copy_busy_seconds},
+});
 
 class SimGpu {
  public:

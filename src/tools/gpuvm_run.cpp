@@ -268,17 +268,13 @@ int main(int argc, char** argv) {
           }
           std::printf("%-48s %.0f\n", v.name.c_str(), v.gauge);
         }
-        // Offload health: the per-node "stats.node.<name>.*" gauges a
-        // cluster daemon publishes (offloaded connections, local fallbacks,
-        // recoveries). A stand-alone daemon with no node identity has none.
-        bool header = false;
-        for (const auto& v : snap.value().values) {
-          if (v.name.rfind("stats.node.", 0) != 0) continue;
-          if (!header) {
-            std::printf("---- cluster offload health ----\n");
-            header = true;
-          }
-          std::printf("%-48s %.0f\n", v.name.c_str(), v.gauge);
+        // Offload health: this daemon's connections proxied to a peer,
+        // local fallbacks, recoveries and live migrations.
+        std::printf("---- cluster offload health ----\n");
+        for (const char* field : {"offloaded_connections", "offload_fallbacks", "recoveries",
+                                  "migrations_out", "migrations_in", "migrations_refused"}) {
+          const std::string name = std::string("stats.runtime.") + field;
+          std::printf("%-48s %.0f\n", name.c_str(), snap.value().gauge_value(name));
         }
       } else {
         std::fprintf(stderr, "gpuvm_run: QueryStats failed (%s)\n", to_string(snap.status()));

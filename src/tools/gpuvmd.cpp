@@ -10,6 +10,11 @@
 //          --vgpus 4 --policy fcfs [--migration] [--cuda4] [--mem-scale 1024]
 //          [--trace-out FILE]
 //
+// --node-name NAME identifies the daemon's load reports (QueryLoad) to a
+// head node watching several daemons. QueryStats replies carry no name:
+// they hold this daemon's own counts, and the head node namespaces each
+// reply by the peer it polled (gpuvm_run --cluster --peer NAME=PATH).
+//
 // Stops on SIGINT/SIGTERM or when `--serve-seconds N` of wall time elapse.
 // With --trace-out, a Perfetto-loadable trace of the whole run is written at
 // shutdown; SIGUSR1 dumps the trace collected so far without stopping.
@@ -197,11 +202,9 @@ int main(int argc, char** argv) {
   cudart::CudaRt cuda(machine);
   core::Runtime daemon(cuda, config);
   if (!node_name.empty()) {
-    // Stamps LoadSnapshots and the per-node "stats.node.<name>.*" gauges so
-    // a head node aggregating several daemons can tell them apart. The
-    // numeric id hashes the name (stand-alone daemons have no cluster
-    // authority assigning ids).
-    daemon.set_node_identity(std::hash<std::string>{}(node_name), node_name);
+    // Stamps LoadSnapshots (see the file comment). The numeric id hashes
+    // the name: stand-alone daemons have no cluster authority assigning ids.
+    daemon.set_node_identity(std::hash<std::string>{}(node_name));
   }
 
   auto server = transport::UnixSocketServer::listen(
@@ -243,7 +246,6 @@ int main(int argc, char** argv) {
   }
 
   server.value()->stop();
-  daemon.publish_metrics();
   const auto stats = daemon.stats();
   const auto mem = daemon.memory().stats();
   std::printf("gpuvmd: served %llu connections, %llu launches, %llu swaps, shutting down\n",

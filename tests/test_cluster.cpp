@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "cluster/torque.hpp"
 #include "core/frontend.hpp"
+#include "obs/aggregate.hpp"
 
 namespace gpuvm::cluster {
 namespace {
@@ -171,6 +174,75 @@ TEST_F(ClusterTest, JobResultsCarryPerJobTimes) {
     EXPECT_GT(job.seconds, 0.0);
     EXPECT_TRUE(job.node.valid());
   }
+}
+
+std::optional<obs::MetricsSnapshot> query_stats(core::Runtime& runtime) {
+  core::FrontendApi api(runtime.connect());
+  auto snap = api.query_stats();
+  if (!snap.has_value()) return std::nullopt;
+  return std::move(snap.value());
+}
+
+TEST_F(ClusterTest, EachNodeAnswersQueryStatsWithItsOwnCounts) {
+  // Two daemons in one process; only node-a (GPUs 1-3) runs launches. Each
+  // reply must carry the answering node's counts and GPUs, not whichever
+  // node last wrote into the process registry.
+  Cluster cluster = make_cluster(2);
+  core::Runtime& node_a = cluster.node(0).runtime();
+  core::Runtime& node_b = cluster.node(1).runtime();
+  {
+    core::FrontendApi api(node_a.connect());
+    ASSERT_TRUE(api.connected());
+    ASSERT_EQ(api.register_kernels({"burn"}), Status::Ok);
+    auto ptr = api.malloc(1024);
+    ASSERT_TRUE(ptr.has_value());
+    std::vector<float> data(256, 1.0f);
+    ASSERT_EQ(api.copy_in(ptr.value(), data), Status::Ok);
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_EQ(
+          api.launch("burn", {{1, 1, 1}, {64, 1, 1}}, {sim::KernelArg::dev(ptr.value())}),
+          Status::Ok);
+    }
+  }
+  const std::optional<obs::MetricsSnapshot> a = query_stats(node_a);
+  const std::optional<obs::MetricsSnapshot> b = query_stats(node_b);
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(b.has_value());
+
+  EXPECT_EQ(node_a.stats().launches, 5u);
+  EXPECT_EQ(node_b.stats().launches, 0u);
+  ASSERT_NE(a->find("stats.runtime.launches"), nullptr);
+  ASSERT_NE(b->find("stats.runtime.launches"), nullptr);
+  EXPECT_EQ(a->gauge_value("stats.runtime.launches"),
+            static_cast<double>(node_a.stats().launches));
+  EXPECT_EQ(b->gauge_value("stats.runtime.launches"),
+            static_cast<double>(node_b.stats().launches));
+  EXPECT_NE(a->find("stats.gpu3.kernels_launched"), nullptr);
+  EXPECT_NE(b->find("stats.gpu1.kernels_launched"), nullptr);
+  EXPECT_EQ(b->gauge_value("stats.gpu1.kernels_launched"), 0.0);
+
+  // The registry mirrors of per-node counts are gone; their counts live
+  // only in each node's stats structs, as stats.* rows.
+  const std::vector<std::string> deleted = {
+      "runtime.recoveries",  "runtime.offload_fallbacks", "runtime.dispatch_lock_contended",
+      "cluster.migrations",  "migration.refused",         "sched.requeues",
+      "sched.migrations",    "sched.preemptions",         "sched.thrash_trips",
+      "sched.quantum_ns",    "mm.async_writebacks",       "mm.writeback_fences",
+      "mm.dirty_bytes_saved", "mm.swap_in_bytes",         "mm.page_faults",
+      "mm.tlb_hits",         "mm.tlb_misses",             "mm.prefetched_pages",
+      "mm.page_evictions"};
+  for (const obs::MetricsSnapshot* snap : {&*a, &*b}) {
+    for (const std::string& name : deleted) EXPECT_EQ(snap->find(name), nullptr) << name;
+  }
+  for (const obs::MetricValue& v : b->values) {
+    EXPECT_NE(v.name.rfind("stats.gpu2.", 0), 0u) << v.name;
+    EXPECT_NE(v.name.rfind("stats.gpu3.", 0), 0u) << v.name;
+    EXPECT_NE(v.name.rfind("stats.node.", 0), 0u) << v.name;
+  }
+
+  const std::vector<obs::NodeStats> nodes = {{"node-a", *a}, {"node-b", *b}};
+  const obs::MetricsSnapshot merged = obs::aggregate_cluster(nodes);
+  EXPECT_EQ(merged.gauge_value("cluster.total.stats.runtime.launches"), 5.0);
 }
 
 }  // namespace

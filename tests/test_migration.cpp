@@ -130,7 +130,7 @@ TEST_F(MigrationPairTest, IdleJobConvergesAndStopCopyShipsAlmostNothing) {
 
   const u64 bytes_before = counter_now(obs::names::kMigrationBytes);
   const u64 stop_before = counter_now(obs::names::kMigrationStopCopyBytes);
-  const u64 cluster_before = counter_now(obs::names::kClusterMigrations);
+  const u64 migrations_before = source_->stats().migrations_out;
 
   auto report = source_->migrate_context(ContextId{1}, peer_factory());
   ASSERT_TRUE(report.has_value()) << to_string(report.status());
@@ -149,7 +149,7 @@ TEST_F(MigrationPairTest, IdleJobConvergesAndStopCopyShipsAlmostNothing) {
             report->precopy_bytes + report->stop_copy_bytes);
   EXPECT_EQ(counter_now(obs::names::kMigrationStopCopyBytes) - stop_before,
             report->stop_copy_bytes);
-  EXPECT_EQ(counter_now(obs::names::kClusterMigrations) - cluster_before, 1u);
+  EXPECT_EQ(source_->stats().migrations_out - migrations_before, 1u);
   EXPECT_EQ(source_->stats().migrations_out, 1u);
   EXPECT_EQ(target_->stats().migrations_in, 1u);
 
@@ -248,14 +248,14 @@ TEST_F(MigrationV3PeerTest, OldPeerRefusedGracefullyJobContinuesLocally) {
   std::vector<u32> mirror(elems, 5u);
   ASSERT_EQ(api.memcpy_h2d(alloc.value(), std::as_bytes(std::span(mirror))), Status::Ok);
 
-  const u64 refused_before = counter_now(obs::names::kMigrationRefused);
+  const u64 refused_before = source_->stats().migrations_refused;
   auto report = source_->migrate_context(ContextId{1}, peer_factory());
   ASSERT_FALSE(report.has_value());
   EXPECT_EQ(report.status(), Status::ErrorNotSupported);
   EXPECT_EQ(source_->stats().migrations_out, 0u);
   EXPECT_EQ(source_->stats().migrations_refused, 1u);
   EXPECT_EQ(target_->stats().migrations_in, 0u);
-  EXPECT_EQ(counter_now(obs::names::kMigrationRefused) - refused_before, 1u);
+  EXPECT_EQ(source_->stats().migrations_refused - refused_before, 1u);
 
   // The job never left: memory still local, calls still serviced here.
   EXPECT_GT(source_->memory().naive_image_bytes(ContextId{1}), 0u);

@@ -129,14 +129,17 @@ TEST(TaskRunner, StopAbandonsPendingTimers) {
   Domain dom;
   TaskRunner runner(dom);
   std::atomic<bool> far_ran{false};
-  runner.spawn([&](Task& t) {
-    t.defer(from_seconds(3600), [&](Task&) { far_ran.store(true); });
-  });
-  // Let the seed step execute so the far timer is actually queued, and stay
-  // attached while stopping: a running attached thread pins the clock, so
-  // the pump's 3600s alarm cannot fire before the cancel lands.
   {
+    // Attach before spawning and stay attached while stopping: a running
+    // attached thread pins the clock, so the pump's 3600s alarm cannot fire
+    // before the cancel lands. Attaching only after spawn left a window in
+    // which the pump ran the seed step, parked on that alarm and, with no
+    // other thread attached, the clock jumped to it.
     AttachGuard guard(dom);
+    runner.spawn([&](Task& t) {
+      t.defer(from_seconds(3600), [&](Task&) { far_ran.store(true); });
+    });
+    // Let the seed step execute so the far timer is actually queued.
     dom.sleep_for(from_micros(1));
     runner.stop();
   }
