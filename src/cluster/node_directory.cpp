@@ -76,10 +76,12 @@ void NodeDirectory::watch(Node& node, transport::ChannelCosts costs) {
   }
 
   // Subscribe: the reply carries the first snapshot, then the daemon pushes
-  // LoadReport frames every interval on this channel.
+  // a LoadReport on this channel when the load changes, and every
+  // keepalive.
   Message sub;
   sub.op = Opcode::QueryLoad;
-  sub.payload = transport::encode_query_load(config_.heartbeat_interval.count());
+  sub.payload =
+      transport::encode_query_load(config_.heartbeat_interval.count(), keepalive().count());
   if (channel->send(std::move(sub))) {
     if (auto reply = channel->receive();
         reply.has_value() && ok(transport::reply_status(*reply))) {
@@ -175,7 +177,7 @@ const NodeDirectory::Entry* NodeDirectory::entry_locked(NodeId id) const {
 bool NodeDirectory::suspect_locked(const Entry& e) const {
   if (!e.subscribed || !e.has_load) return false;
   const vt::Duration age = dom_->now() - e.last_report;
-  return age > config_.heartbeat_interval * config_.suspect_after_missed;
+  return age > keepalive() + config_.heartbeat_interval * (config_.suspect_after_missed - 1);
 }
 
 bool NodeDirectory::dark_locked(const Entry& e) const {

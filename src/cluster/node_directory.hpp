@@ -3,9 +3,13 @@
 // One entry per watched node, fed by QueryLoad heartbeat subscriptions: the
 // directory opens a client channel to each node daemon, performs the
 // protocol handshake, and -- when the peer negotiated caps::kQueryLoad --
-// subscribes to periodic LoadReport pushes, each stamped with the daemon's
-// virtual time. The directory runs no thread of its own: the daemon's
-// heartbeat timer hands each report to a channel sink
+// subscribes to LoadReport pushes, each stamped with the daemon's virtual
+// time. The daemon reports a changed load at the next instant of its
+// heartbeat grid and an unchanged one every keepalive (heartbeat_interval
+// * tuning::kKeepaliveIntervals), so the directory's view at every instant
+// is the one a report every interval would give. The directory runs no
+// thread of its own: the daemon's heartbeat timer hands each report to a
+// channel sink
 // (MessageChannel::set_sink) at its send instant, stamped with its modeled
 // delivery instant, and every reader first folds the reports whose delivery
 // instant has passed. Lock order: the channel's sink mutex, then mu_. A
@@ -21,11 +25,15 @@
 //     the target is below the low watermark, so two moderately loaded
 //     nodes never ping-pong connections.
 //
-// Staleness: a subscribed node that misses `suspect_after_missed`
-// consecutive heartbeat intervals is *suspect* -- excluded from dispatch
-// and offload until reports resume (chaos link faults, daemon stalls). A
-// node whose latest snapshot shows zero alive vGPUs is *dark* (chaos node
-// blackout) and equally excluded. Peers that never negotiated kQueryLoad
+// Staleness: an idle node reports once per keepalive, so a subscribed node
+// is *suspect* once its last report is older than keepalive +
+// (suspect_after_missed - 1) intervals -- the margin past the next expected
+// report that per-interval reports had, 18 intervals at the defaults. A
+// suspect node is excluded from dispatch and offload until reports resume
+// (chaos link faults, daemon stalls). A node whose latest snapshot shows
+// zero alive vGPUs is *dark* (chaos node blackout) and equally excluded; a
+// vGPU-count change is reported at the next grid instant, so dark is as
+// fast as the interval. Peers that never negotiated kQueryLoad
 // (protocol-v2 daemons) stay dispatchable with no load data: policies fall
 // back to round-robin behaviour for them.
 #pragma once
@@ -57,10 +65,13 @@ struct DirectoryConfig;
 DirectoryConfig directory_config_from(const core::SchedulerConfig& sched);
 
 struct DirectoryConfig {
-  /// Heartbeat period requested from each subscribed daemon. See
-  /// common/tuning.hpp for the tie-avoidance rationale behind the default.
+  /// Report grid requested from each subscribed daemon; the keepalive is
+  /// tuning::kKeepaliveIntervals of it. See common/tuning.hpp for the
+  /// tie-avoidance rationale behind the default.
   vt::Duration heartbeat_interval = tuning::kHeartbeatInterval;
-  /// Consecutive missed intervals before a subscribed node turns suspect.
+  /// Missed intervals, counting the keepalive as the first, before a
+  /// subscribed node turns suspect: its last report is then older than
+  /// keepalive + (suspect_after_missed - 1) * heartbeat_interval.
   int suspect_after_missed = 3;
   /// Offload hysteresis: a node sheds only while its own load score is >=
   /// `high_watermark`, and only onto a peer whose score is <=
@@ -90,8 +101,8 @@ class NodeDirectory {
   /// drain or shut down: an open subscription holds a daemon connection open.
   void stop();
 
-  /// Subscribed and the last report is older than
-  /// suspect_after_missed * heartbeat_interval.
+  /// Subscribed and the last report is older than keepalive() +
+  /// (suspect_after_missed - 1) * heartbeat_interval.
   bool suspect(NodeId id) const;
   /// Latest snapshot shows no alive vGPU (node blackout).
   bool dark(NodeId id) const;
@@ -111,6 +122,10 @@ class NodeDirectory {
   Node* pick_offload_target(NodeId self, double self_score);
 
   const DirectoryConfig& config() const { return config_; }
+  /// Longest gap between two reports of an idle node.
+  vt::Duration keepalive() const {
+    return config_.heartbeat_interval * tuning::kKeepaliveIntervals;
+  }
 
  private:
   /// A report sent but not yet visible: `at` is its delivery instant.

@@ -26,6 +26,33 @@ namespace gpuvm::tuning {
 /// exposed to ties with everything else.
 inline constexpr vt::Duration kHeartbeatInterval = vt::from_micros(997.0);
 
+/// A load-report subscription reports on change, at the next instant of its
+/// interval grid, and otherwise every kKeepaliveIntervals intervals (15.952
+/// ms at the default) so the directory can tell an idle node from a dead
+/// one. Why 16:
+///   - a multiple of the interval keeps every report on the grid that
+///     per-interval reports used, so keepalives add no instant a tick could
+///     tie on;
+///   - an idle node sends 1/16 of the per-interval reports, and a busy one
+///     no more than before;
+///   - liveness is still judged within 18 intervals (about 18 ms), well
+///     inside the chaos harness's 8-tenant, 24-event scenarios (about 40
+///     ms), so the keepalive path is exercised there. A longer keepalive
+///     would leave those scenarios ending before a lost node turns suspect.
+inline constexpr i64 kKeepaliveIntervals = 16;
+
+/// Smallest load-report interval a daemon accepts. Each report costs a
+/// sample, an encode and a send on the thread that advances the clock, so
+/// a hostile 1 ns subscription would otherwise cost one clock advance per
+/// virtual nanosecond. The smallest interval in the tree is 199 us.
+inline constexpr vt::Duration kMinReportInterval = vt::from_micros(100.0);
+
+/// Largest report keepalive a daemon accepts, and kMaxReportKeepalive /
+/// kKeepaliveIntervals the largest interval: virtual time stays below 2^62
+/// ns (146 years), so no report deadline (now + keepalive, anchor + 16
+/// intervals) can overflow.
+inline constexpr vt::Duration kMaxReportKeepalive{i64{1} << 62};
+
 /// Migration-coordinator watcher poll period (cluster/migration.hpp).
 /// Prime us count, not a multiple of the heartbeat: a migration decision
 /// should observe a *fresh* directory state, not race the heartbeat that

@@ -104,7 +104,7 @@ class CallInFlight {
 /// One connection's state and per-message logic, shared by both drivers:
 /// the sink of an in-process channel (connect_with) and the serving thread
 /// of any other channel (serve_channel). It awaits the Hello, then serves a
-/// context, proxies to a peer daemon or streams heartbeats until it closes.
+/// context, proxies to a peer daemon or sends load reports until it closes.
 /// Calls arrive one at a time; on_close() may arrive from any thread, also
 /// re-entrantly from a call that closes its own channel. Whoever lets go of
 /// the session last -- the closer, the call in progress or the heartbeat
@@ -132,11 +132,24 @@ class Runtime::Session {
 
   transport::MessageChannel& channel() { return *channel_; }
   bool served_inline() const { return served_inline_; }
-  bool finished() const { return finished_.load(std::memory_order_acquire); }
+
+  /// Finished, and freeing it joins no thread. A subscription that ended
+  /// inside a tick keeps its teardown thread until the daemon goes: joining
+  /// it lets the clock run on while the joiner waits in real time, so the
+  /// caller that freed it would resume at an instant the host chose.
+  bool reclaimable() {
+    std::scoped_lock lk(mu_);
+    return finished_.load(std::memory_order_acquire) && !ending_.joinable();
+  }
 
   /// Serves one request delivered at `at`: the sink sleeps until then (a
   /// serving thread's receive() already has).
   void deliver(Message msg, vt::TimePoint at);
+
+  /// The node's load changed at `now` (Runtime::load_changed, reports_mu_
+  /// held): arms the report for the first grid instant strictly after now,
+  /// unless one is due sooner or the tick that owns the timer will see it.
+  void load_changed_locked(vt::TimePoint now);
 
   /// The channel closed: tears the session down now, or when the call in
   /// progress lets go of it. A heartbeat timer is cancelled first (waiting
@@ -156,11 +169,26 @@ class Runtime::Session {
   /// Arms the heartbeat timer once the subscribing call's trace scope has
   /// handed the ordinal back; from then on the timer holds the session.
   void start_heartbeat();
-  /// One heartbeat (the timer's callback, on whichever thread advances the
+  /// One report (the timer's callback, on whichever thread advances the
   /// clock): samples, encodes and sends a LoadReport -- or retransmits a
-  /// dropped one -- and re-arms at its send instant plus the interval. It
-  /// never blocks and takes only leaf locks (vt::Timer's contract).
+  /// dropped one at its backoff instant -- and re-arms. A report sent at s
+  /// starts a grid s + k * interval: the next report is due one interval on
+  /// if the load changed meanwhile, otherwise at the keepalive, s +
+  /// keepalive, unless a change pulls it to the first grid instant after
+  /// it (load_changed_locked). A change at an instant t is thus reported at
+  /// the instant where a report every interval would first have sampled
+  /// it: the directory's view is the same at every instant. It never
+  /// blocks and takes only leaf locks (vt::Timer's contract).
   void tick();
+
+  /// Starts the grid at `sent`, a report's send instant or the first
+  /// snapshot's, and arms the next report: one interval on if the load
+  /// changed since the sample, else at the keepalive (reports_mu_ held).
+  void schedule_from_locked(vt::TimePoint sent);
+
+  /// Enters and leaves Runtime::reporting_ (idempotent).
+  void start_reports();
+  void stop_reports();
 
   /// Closes the channel from the daemon's side; the session ends once the
   /// call in progress returns.
@@ -185,11 +213,21 @@ class Runtime::Session {
   /// Subscribed: the heartbeat timer and what it carries from tick to tick.
   struct Heartbeat {
     Heartbeat(vt::Domain& dom, std::function<void()> tick, ConnectionId conn_,
-              vt::Duration interval_)
-        : conn(conn_), interval(interval_), timer(dom, std::move(tick)) {}
+              vt::Duration interval_, vt::Duration keepalive_)
+        : conn(conn_), interval(interval_), keepalive(keepalive_), timer(dom, std::move(tick)) {}
 
     const ConnectionId conn;
     const vt::Duration interval;
+    const vt::Duration keepalive;  ///< longest gap between two reports
+    // Guarded by Runtime::reports_mu_ (load_changed_locked reads them).
+    bool changed = false;  ///< the load changed since the last sample
+    /// The timer is armed on the grid (at `due`), so a change may pull it
+    /// earlier: not before start_heartbeat, while a dropped report awaits
+    /// its retransmit, or once the subscription ended.
+    bool on_grid = false;
+    vt::TimePoint anchor{};  ///< send instant of the last report: the grid
+    vt::TimePoint due{};     ///< instant the timer is armed for
+    // The tick's own.
     /// Queue-wait buckets at the previous report: each report's p50 covers
     /// the waits observed since, not the daemon's lifetime.
     std::vector<u64> prev_waits;
@@ -249,6 +287,8 @@ Runtime::Runtime(cudart::CudaRt& rt, RuntimeConfig config)
   // The scheduler's quantum pump knows *when* to preempt; the runtime owns
   // *how* (the ContextLock discipline around the swap engine).
   scheduler_->set_preempt_executor([this](ContextId id) { return preempt_context(id); });
+  scheduler_->set_load_listener([this] { load_changed(); });
+  memory_listener_ = rt_->machine().subscribe_memory([this] { load_changed(); });
 }
 
 Runtime::~Runtime() {
@@ -268,6 +308,7 @@ Runtime::~Runtime() {
     threads.swap(threads_);
   }
   threads.clear();
+  rt_->machine().unsubscribe_memory(memory_listener_);
 }
 
 void Runtime::on_topology_event(sim::TopologyEvent event, GpuId gpu) {
@@ -338,7 +379,7 @@ Runtime::Session* Runtime::open_session_locked(
   // A serving thread may still be on its way out of a finished session, so
   // only in-process sessions are freed before the daemon is.
   const auto open = std::partition(sessions_.begin(), sessions_.end(), [](const auto& s) {
-    return !(s->served_inline() && s->finished());
+    return !(s->served_inline() && s->reclaimable());
   });
   finished.insert(finished.end(), std::make_move_iterator(open),
                   std::make_move_iterator(sessions_.end()));
@@ -365,6 +406,17 @@ int Runtime::load() const {
 }
 
 void Runtime::set_node_identity(u64 id) { node_id_ = id; }
+
+void Runtime::load_changed() {
+  // A subscription registers before its first snapshot is sampled, so a
+  // change made after that sample finds it here. (A change racing the
+  // registration on another thread may read a stale false: the next
+  // keepalive carries it.)
+  if (!any_reporting_.load(std::memory_order_relaxed)) return;
+  const vt::TimePoint now = rt_->machine().domain().now();
+  std::scoped_lock lk(reports_mu_);
+  for (Session* session : reporting_) session->load_changed_locked(now);
+}
 
 transport::LoadSnapshot Runtime::load_snapshot() const {
   // Heartbeat ticks call this on whichever thread advances the clock, which
@@ -491,9 +543,11 @@ void Runtime::Session::on_close() {
     teardown();
     return;
   }
-  // Outside mu_, which a running tick takes: wait it out and disarm, then
-  // let go of the session for the timer -- unless that tick ended the
-  // subscription and handed the teardown to ending_ already.
+  // Outside mu_, which a running tick takes: once no change can re-arm the
+  // timer, wait out a running tick and disarm, then let go of the session
+  // for the timer -- unless that tick ended the subscription and handed the
+  // teardown to ending_ already.
+  stop_reports();
   heartbeat_->timer.cancel();
   {
     std::scoped_lock lk(mu_);
@@ -694,6 +748,7 @@ void Runtime::Session::open_context(const transport::HelloPayload& hello, u32 ca
   }
   ctx.caps.store(caps, std::memory_order_release);
   ctx.state.store(ContextState::Detached, std::memory_order_release);
+  rt_.load_changed();  // the table grew by this context
   // Shared contexts have several channels; the idle probe used by
   // inter-application swap only applies to exclusive contexts.
   if (!shared_) ctx.channel.store(channel_.get(), std::memory_order_release);
@@ -719,18 +774,19 @@ void Runtime::Session::serve(const Message& msg) {
       channel_->send(transport::make_reply(msg.connection, Status::ErrorNotSupported));
       return;
     }
-    const auto interval_ns = transport::decode_query_load(msg.payload);
-    if (!interval_ns) {
-      channel_->send(transport::make_reply(msg.connection, interval_ns.status()));
+    const auto request = transport::decode_query_load(msg.payload);
+    if (!request) {
+      channel_->send(transport::make_reply(msg.connection, request.status()));
       return;
+    }
+    if (request->interval_ns > 0) {
+      phase_ = Phase::Subscribed;
+      heartbeat_.emplace(rt_.rt_->machine().domain(), [this] { tick(); }, msg.connection,
+                         vt::Duration(request->interval_ns), vt::Duration(request->keepalive_ns));
+      start_reports();  // before the first snapshot: a later change is reported
     }
     channel_->send(transport::make_reply(msg.connection, Status::Ok,
                                          transport::encode_load(rt_.load_snapshot())));
-    if (interval_ns.value() > 0) {
-      phase_ = Phase::Subscribed;
-      heartbeat_.emplace(rt_.rt_->machine().domain(), [this] { tick(); }, msg.connection,
-                         vt::Duration(interval_ns.value()));
-    }
     return;
   }
   Message out = [&] {
@@ -763,7 +819,39 @@ void Runtime::Session::start_heartbeat() {
   if (closing_) return;  // closed during the subscribing call: leave() tears down
   ++active_;
   timer_holds_ = true;
-  hb.timer.arm(rt_.rt_->machine().domain().now() + hb.interval);
+  std::scoped_lock reports_lk(rt_.reports_mu_);
+  schedule_from_locked(rt_.rt_->machine().domain().now());  // the first snapshot's instant
+}
+
+void Runtime::Session::schedule_from_locked(vt::TimePoint sent) {
+  Heartbeat& hb = *heartbeat_;
+  hb.anchor = sent;
+  hb.due = sent + (hb.changed ? hb.interval : hb.keepalive);
+  hb.on_grid = true;
+  hb.timer.arm(hb.due);
+}
+
+void Runtime::Session::start_reports() {
+  std::scoped_lock lk(rt_.reports_mu_);
+  rt_.reporting_.push_back(this);
+  rt_.any_reporting_.store(true, std::memory_order_relaxed);
+}
+
+void Runtime::Session::stop_reports() {
+  std::scoped_lock lk(rt_.reports_mu_);
+  std::erase(rt_.reporting_, this);
+  rt_.any_reporting_.store(!rt_.reporting_.empty(), std::memory_order_relaxed);
+}
+
+void Runtime::Session::load_changed_locked(vt::TimePoint now) {
+  Heartbeat& hb = *heartbeat_;
+  if (std::exchange(hb.changed, true) || !hb.on_grid) return;
+  const i64 steps = std::max<i64>((now - hb.anchor) / hb.interval, 0) + 1;
+  const vt::TimePoint at = hb.anchor + hb.interval * steps;
+  if (at < hb.due) {
+    hb.due = at;
+    hb.timer.arm(at);
+  }
 }
 
 void Runtime::Session::tick() {
@@ -775,6 +863,11 @@ void Runtime::Session::tick() {
     // Scoped to the send: the teardown below reads the ordinal back.
     obs::ScopedTraceContext scoped_trace(trace_, &trace_ordinal_);
     if (!hb.report.has_value()) {
+      {
+        // A change from here on goes into the next report.
+        std::scoped_lock lk(rt_.reports_mu_);
+        hb.changed = false;
+      }
       transport::LoadSnapshot snap = rt_.load_snapshot();
       snap.seq = ++hb.seq;
       const obs::Histogram& waits = rt_.scheduler_->queue_wait_local();
@@ -792,12 +885,17 @@ void Runtime::Session::tick() {
   }
   if (attempt.outcome == Outcome::Sent) {
     hb.report.reset();
-    hb.timer.arm(dom.now() + hb.interval);
+    std::scoped_lock lk(rt_.reports_mu_);
+    schedule_from_locked(dom.now());
   } else if (attempt.outcome == Outcome::Dropped) {
-    hb.timer.arm(dom.now() + attempt.backoff);  // the retransmit, same report
+    std::scoped_lock lk(rt_.reports_mu_);
+    hb.on_grid = false;
+    hb.due = dom.now() + attempt.backoff;
+    hb.timer.arm(hb.due);  // the retransmit, same report
   } else {
     // The subscription ended. Closing and tearing down wait in virtual
     // time, so a thread started at this instant does both.
+    stop_reports();
     std::scoped_lock lk(mu_);
     if (!std::exchange(timer_holds_, false)) return;  // a closer took over
     ending_ = vt::Thread(dom, [this] {
@@ -814,6 +912,7 @@ void Runtime::Session::teardown() {
     std::optional<vt::AttachGuard> attach;
     if (vt::Domain::current() == nullptr) attach.emplace(rt_.rt_->machine().domain());
     obs::ScopedTraceContext scoped_trace(trace_, &trace_ordinal_);
+    if (heartbeat_.has_value()) stop_reports();  // subscribed, maybe never started
     if (peer_ != nullptr) {
       offload_span_.reset();
       peer_->close();
@@ -838,6 +937,7 @@ void Runtime::Session::teardown() {
       ctx.state.store(ContextState::Done, std::memory_order_release);
       obs::emit_instant("disconnect", "conn", obs::kRuntimePid, ctx.id.value, ctx.id.value);
       rt_.contexts_.take(ctx.id);
+      rt_.load_changed();
       if (shared_) {
         std::unique_lock lk(rt_.mu_);
         rt_.app_contexts_.erase(app_id_);
@@ -1578,6 +1678,7 @@ Status Runtime::do_launch(Context& ctx, transport::MessageChannel& channel,
       case Next::RebindAfterFailure: {
         if (recovery_attempts > config_.max_recovery_attempts) {
           ctx.state.store(ContextState::Failed, std::memory_order_release);
+          load_changed();
           return Status::ErrorDeviceUnavailable;
         }
         // Either an eviction freed memory (stay bound and retry), or the

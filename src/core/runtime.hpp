@@ -189,6 +189,8 @@ class Runtime {
   /// stamped with the node's virtual time. Heartbeat subscriptions rewrite
   /// seq and the p50 window per report. Takes only leaf locks, never the
   /// scheduler's or this daemon's mu_: heartbeat ticks call it on any thread.
+  /// Whatever changes a field of it other than seq, vt_ns and the p50 calls
+  /// load_changed() once the change is made.
   transport::LoadSnapshot load_snapshot() const;
 
   /// Blocks until all currently-open connections have finished (used by
@@ -215,6 +217,17 @@ class Runtime {
  private:
   /// One connection's state and per-message logic (runtime.cpp).
   class Session;
+
+  /// The load-report notifier: each heartbeat subscription arms its report
+  /// for the first instant of its grid after now (see Session::tick). The
+  /// scheduler calls it after each load publication, every SimGpu of the
+  /// machine after each malloc and free, and this daemon after each
+  /// ContextState store and context-table change. Callers may hold the
+  /// scheduler's mu_, a ContextLock or the machine's memory lock; with no
+  /// subscription it costs one relaxed atomic load. A spurious call costs
+  /// one redundant report, a missing one a stale directory until the next
+  /// keepalive.
+  void load_changed();
 
   /// Registers a session for `channel` (nullptr, channel closed, once the
   /// daemon shuts down). Takes the sessions that have finished out of the
@@ -269,6 +282,18 @@ class Runtime {
 
   cudart::CudaRt* rt_;
   RuntimeConfig config_;
+
+  /// Heartbeat subscriptions, walked by load_changed(). reports_mu_ is a
+  /// leaf: taken only above vt::Domain's mutex (a notifier re-arms a
+  /// timer), never held across a vt sleep, wait or join, and never while a
+  /// tick samples. It guards reporting_ and every heartbeat field a
+  /// notifier reads. Declared before mm_ and scheduler_, whose listeners
+  /// call load_changed() until they are destroyed.
+  std::mutex reports_mu_;
+  std::vector<Session*> reporting_;
+  std::atomic<bool> any_reporting_{false};  ///< !reporting_.empty()
+  u64 memory_listener_ = 0;                 ///< SimMachine::subscribe_memory handle
+
   std::unique_ptr<MemoryManager> mm_;
   std::unique_ptr<Scheduler> scheduler_;
 
@@ -285,8 +310,8 @@ class Runtime {
   mutable std::mutex mu_;
   std::map<u64, std::shared_ptr<Context>> app_contexts_;  // CUDA 4 mode
   /// Every session not yet freed, with its server endpoint: an in-process
-  /// one is freed at the first connect after it finished, the others with
-  /// the daemon.
+  /// one is freed at the first connect after it finished, unless it keeps
+  /// a teardown thread; the others with the daemon.
   std::vector<std::unique_ptr<Session>> sessions_;
   /// Serving threads (serve_channel).
   std::vector<vt::Thread> threads_;

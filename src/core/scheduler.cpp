@@ -88,6 +88,11 @@ void Scheduler::set_preempt_executor(PreemptExecutor executor) {
   preempt_executor_ = std::move(executor);
 }
 
+void Scheduler::set_load_listener(std::function<void()> listener) {
+  std::unique_lock lk(mu_);
+  load_listener_ = std::move(listener);
+}
+
 void Scheduler::add_device(int device_index, GpuId gpu) {
   const sim::SimGpu* dev = rt_->machine().gpu(gpu);
   const double speed = dev != nullptr ? dev->spec().compute_power() : 0.0;
@@ -240,22 +245,25 @@ void Scheduler::match_locked() {
 }
 
 void Scheduler::publish_load_locked() {
-  std::scoped_lock load_lock(load_mu_);
-  load_.vgpus = 0;
-  load_.waiting = static_cast<int>(waiting_.size());
-  load_.bound = static_cast<int>(bindings_.size());
-  load_.devices.clear();  // keeps its capacity: no allocation per publish
-  for (const auto& slot : slots_) {
-    if (!slot->alive) continue;
-    ++load_.vgpus;
-    auto dev = std::find_if(load_.devices.begin(), load_.devices.end(),
-                            [&](const DeviceSlots& d) { return d.gpu == slot->gpu; });
-    if (dev == load_.devices.end()) dev = load_.devices.insert(dev, DeviceSlots{slot->gpu});
-    ++dev->vgpus;
-    if (slot->bound.valid()) ++dev->bound;
+  {
+    std::scoped_lock load_lock(load_mu_);
+    load_.vgpus = 0;
+    load_.waiting = static_cast<int>(waiting_.size());
+    load_.bound = static_cast<int>(bindings_.size());
+    load_.devices.clear();  // keeps its capacity: no allocation per publish
+    for (const auto& slot : slots_) {
+      if (!slot->alive) continue;
+      ++load_.vgpus;
+      auto dev = std::find_if(load_.devices.begin(), load_.devices.end(),
+                              [&](const DeviceSlots& d) { return d.gpu == slot->gpu; });
+      if (dev == load_.devices.end()) dev = load_.devices.insert(dev, DeviceSlots{slot->gpu});
+      ++dev->vgpus;
+      if (slot->bound.valid()) ++dev->bound;
+    }
+    std::sort(load_.devices.begin(), load_.devices.end(),
+              [](const DeviceSlots& a, const DeviceSlots& b) { return a.gpu < b.gpu; });
   }
-  std::sort(load_.devices.begin(), load_.devices.end(),
-            [](const DeviceSlots& a, const DeviceSlots& b) { return a.gpu < b.gpu; });
+  if (load_listener_) load_listener_();
 }
 
 Result<Scheduler::Binding> Scheduler::acquire(Context& ctx) {
@@ -301,6 +309,8 @@ Result<Scheduler::Binding> Scheduler::acquire(Context& ctx) {
     }
   }
   waiting_.erase(std::find(waiting_.begin(), waiting_.end(), &waiter));
+  ctx.state.store(waiter.hopeless ? ContextState::Failed : ContextState::Assigned,
+                  std::memory_order_release);
   publish_load_locked();
   const vt::Duration waited = dom.now() - wait_start;
   queue_wait_hist().observe(vt::to_seconds(waited));
@@ -309,11 +319,7 @@ Result<Scheduler::Binding> Scheduler::acquire(Context& ctx) {
   // (the previous holder's kernel vs. this waiter), which breaks nesting.
   obs::emit_span("queue-wait", "sched", obs::kRuntimePid, ctx.id.value, wait_start, waited,
                  ctx.id.value);
-  if (waiter.hopeless) {
-    ctx.state.store(ContextState::Failed, std::memory_order_release);
-    return Status::ErrorDeviceUnavailable;
-  }
-  ctx.state.store(ContextState::Assigned, std::memory_order_release);
+  if (waiter.hopeless) return Status::ErrorDeviceUnavailable;
   ++stats_.binds;
   if (waiter.granted->migrated && !recovered) ++stats_.migrations;
   waiter.granted->recovered_from_failure = recovered;

@@ -212,6 +212,11 @@ class Scheduler {
   using PreemptExecutor = std::function<bool(ContextId)>;
   void set_preempt_executor(PreemptExecutor executor);
 
+  /// Runs after every publication of the load counters below, under mu_;
+  /// every ContextState store the scheduler makes precedes one. The Runtime
+  /// installs it (its load-report notifier) before serving connections.
+  void set_load_listener(std::function<void()> listener);
+
   /// Chaos hook: preempt every bound context now, regardless of quantum.
   /// Returns the number preempted; 0 under a non-preemptive policy;
   /// ErrorNotSupported when no executor is installed.
@@ -320,7 +325,8 @@ class Scheduler {
   /// count.
   void governor_window_locked();
 
-  /// Republishes load_ from slots_, waiting_ and bindings_ (mu_ held).
+  /// Republishes load_ from slots_, waiting_ and bindings_, then calls the
+  /// load listener (mu_ held).
   void publish_load_locked();
 
   cudart::CudaRt* rt_;
@@ -347,6 +353,7 @@ class Scheduler {
 
   // ---- Quantum pump (preemptive policies only) ------------------------------
   PreemptExecutor preempt_executor_;
+  std::function<void()> load_listener_;  // guarded by mu_
   vt::ConditionVariable pump_cv_;
   bool stop_pump_ = false;
   /// Governor window baseline (swap traffic / binds at the last window).

@@ -16,6 +16,7 @@ GpuId SimMachine::add_gpu(GpuSpec spec) {
     // the event through fail_gpu so present_ and the topology listeners see
     // it exactly like an explicitly injected failure.
     dev->set_self_failure_callback([this](GpuId gid) { (void)fail_gpu(gid); });
+    dev->set_memory_callback([this] { notify_memory(); });
     devices_.emplace(id, std::move(dev));
     order_.push_back(id);
     present_[id] = true;
@@ -86,6 +87,22 @@ SimGpu* SimMachine::locate_gpu(DevicePtr ptr) {
 void SimMachine::subscribe(Listener listener) {
   std::scoped_lock lock(mu_);
   listeners_.push_back(std::move(listener));
+}
+
+u64 SimMachine::subscribe_memory(std::function<void()> listener) {
+  std::scoped_lock lock(memory_mu_);
+  memory_listeners_.emplace_back(next_memory_listener_, std::move(listener));
+  return next_memory_listener_++;
+}
+
+void SimMachine::unsubscribe_memory(u64 handle) {
+  std::scoped_lock lock(memory_mu_);
+  std::erase_if(memory_listeners_, [handle](const auto& entry) { return entry.first == handle; });
+}
+
+void SimMachine::notify_memory() {
+  std::scoped_lock lock(memory_mu_);
+  for (const auto& [handle, listener] : memory_listeners_) listener();
 }
 
 void SimMachine::notify(TopologyEvent event, GpuId id) {

@@ -60,8 +60,18 @@ class SimMachine {
   using Listener = std::function<void(TopologyEvent, GpuId)>;
   void subscribe(Listener listener);
 
+  /// Device-memory subscription: `listener` runs after every successful
+  /// malloc and free on any of this machine's GPUs, those added later
+  /// included, on the allocating thread, outside the device's locks but
+  /// under a machine lock that unsubscribe_memory takes: after it returns,
+  /// no call is in progress. A listener must not allocate or free device
+  /// memory. Returns the handle unsubscribe_memory takes.
+  u64 subscribe_memory(std::function<void()> listener);
+  void unsubscribe_memory(u64 handle);
+
  private:
   void notify(TopologyEvent event, GpuId id);
+  void notify_memory();
 
   vt::Domain* dom_;
   SimParams params_;
@@ -73,6 +83,10 @@ class SimMachine {
   std::map<GpuId, std::unique_ptr<SimGpu>> devices_;
   std::map<GpuId, bool> present_;  // installed and healthy
   std::vector<Listener> listeners_;
+
+  std::mutex memory_mu_;  // guards the two below; held while a listener runs
+  u64 next_memory_listener_ = 1;
+  std::vector<std::pair<u64, std::function<void()>>> memory_listeners_;
 };
 
 }  // namespace gpuvm::sim

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include "common/log.hpp"
 #include "obs/metric_names.hpp"
@@ -84,22 +85,29 @@ Result<DevicePtr> SimGpu::malloc(u64 size) {
       return Status::ErrorMemoryAllocation;
     }
   }
-  std::scoped_lock lock(mem_mu_);
-  const auto addr = allocator_.allocate(size);
-  if (!addr.has_value()) return Status::ErrorMemoryAllocation;
-  auto block = std::make_unique<Block>();
-  block->data.resize(allocator_.allocation_size(*addr).value());
-  blocks_.emplace(*addr, std::move(block));
-  ++stats_.mallocs;
+  std::optional<u64> addr;
+  {
+    std::scoped_lock lock(mem_mu_);
+    addr = allocator_.allocate(size);
+    if (!addr.has_value()) return Status::ErrorMemoryAllocation;
+    auto block = std::make_unique<Block>();
+    block->data.resize(allocator_.allocation_size(*addr).value());
+    blocks_.emplace(*addr, std::move(block));
+    ++stats_.mallocs;
+  }
+  if (on_memory_change_) on_memory_change_();
   return *addr;
 }
 
 Status SimGpu::free(DevicePtr ptr) {
   if (const Status s = check_healthy_and_count(); !ok(s)) return s;
-  std::scoped_lock lock(mem_mu_);
-  if (!allocator_.release(ptr)) return Status::ErrorInvalidDevicePointer;
-  blocks_.erase(ptr);
-  ++stats_.frees;
+  {
+    std::scoped_lock lock(mem_mu_);
+    if (!allocator_.release(ptr)) return Status::ErrorInvalidDevicePointer;
+    blocks_.erase(ptr);
+    ++stats_.frees;
+  }
+  if (on_memory_change_) on_memory_change_();
   return Status::Ok;
 }
 

@@ -158,6 +158,12 @@ class SimGpu {
     on_self_failure_ = std::move(cb);
   }
 
+  /// Invoked after every successful malloc and free, on the allocating
+  /// thread and outside the device's locks: free_bytes() changed. The
+  /// owning machine installs it (SimMachine::subscribe_memory). Install
+  /// before sharing the device across threads.
+  void set_memory_callback(std::function<void()> cb) { on_memory_change_ = std::move(cb); }
+
  private:
   struct Block {
     std::vector<std::byte> data;
@@ -255,6 +261,7 @@ class SimGpu {
   std::atomic<i64> fail_countdown_{-1};
   std::atomic<i64> alloc_fault_countdown_{0};  // pending forced malloc failures
   std::function<void(GpuId)> on_self_failure_;
+  std::function<void()> on_memory_change_;
 };
 
 }  // namespace gpuvm::sim

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <limits>
 
+#include "common/tuning.hpp"
+
 namespace gpuvm::transport {
 
 namespace {
@@ -223,13 +225,30 @@ std::vector<u8> encode_query_load(i64 interval_ns) {
   return w.take();
 }
 
-StatusOr<i64> decode_query_load(std::span<const u8> payload) {
+std::vector<u8> encode_query_load(i64 interval_ns, i64 keepalive_ns) {
+  WireWriter w;
+  w.put<i64>(interval_ns);
+  w.put<i64>(keepalive_ns);
+  return w.take();
+}
+
+StatusOr<QueryLoadRequest> decode_query_load(std::span<const u8> payload) {
   // An empty payload is a plain one-shot poll (forward compatibility).
-  if (payload.empty()) return i64{0};
+  if (payload.empty()) return QueryLoadRequest{};
   WireReader r(payload);
-  const i64 interval = r.get<i64>();
-  if (!r.ok() || interval < 0) return Status::ErrorProtocol;
-  return interval;
+  QueryLoadRequest request;
+  request.interval_ns = r.get<i64>();
+  if (!r.ok() || request.interval_ns < 0) return Status::ErrorProtocol;
+  if (request.interval_ns == 0) return QueryLoadRequest{};
+  request.keepalive_ns = request.interval_ns;
+  if (r.remaining() >= sizeof(i64)) request.keepalive_ns = r.get<i64>();
+  const i64 max_keepalive = tuning::kMaxReportKeepalive.count();
+  if (request.interval_ns < tuning::kMinReportInterval.count() ||
+      request.interval_ns > max_keepalive / tuning::kKeepaliveIntervals ||
+      request.keepalive_ns < request.interval_ns || request.keepalive_ns > max_keepalive) {
+    return Status::ErrorInvalidValue;
+  }
+  return request;
 }
 
 std::vector<u8> encode_migrate_chunk(const MigrateChunkPayload& chunk) {

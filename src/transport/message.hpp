@@ -134,9 +134,13 @@ StatusOr<HelloReply> decode_hello_reply(std::span<const u8> payload);
 // binding pressure and free device memory, stamped with the daemon's virtual
 // time so heartbeat streams replay bit-identically under chaos. A client
 // that negotiated caps::kQueryLoad may poll one snapshot (QueryLoad with
-// interval_ns == 0) or subscribe (interval_ns > 0), after which the daemon
-// pushes LoadReport frames on the same channel every interval until the
-// channel closes. The head-node NodeDirectory is the intended consumer.
+// interval_ns == 0) or subscribe (interval_ns > 0). A subscription's reply
+// carries the first snapshot; after it the daemon pushes a LoadReport on the
+// same channel, until the channel closes, at the first instant of its grid
+// (the last report's send instant plus a whole number of intervals) after
+// any change to the snapshot other than seq, vt_ns and the queue-wait p50,
+// and at the latest keepalive_ns after the last report. The head-node
+// NodeDirectory is the intended consumer.
 
 /// Per-physical-device slice of a LoadSnapshot.
 struct DeviceLoad {
@@ -157,15 +161,16 @@ struct TenantLoad {
 
 struct LoadSnapshot {
   u64 node = 0;    ///< NodeId::value of the reporting daemon (0 = unset)
-  u64 seq = 0;     ///< heartbeat sequence number (0 for one-shot polls)
+  u64 seq = 0;     ///< reports of this subscription so far (0 for polls)
   i64 vt_ns = 0;   ///< daemon virtual time at snapshot (staleness tracking)
   i32 pending_contexts = 0;  ///< contexts blocked waiting for a vGPU
   i32 bound_contexts = 0;    ///< contexts currently bound to a vGPU
   i32 active_contexts = 0;   ///< live contexts, including CPU phases
   i32 vgpu_count = 0;        ///< alive vGPUs (0 = node is dark)
-  /// Recent queue-wait p50 (seconds) from the obs histogram: for heartbeat
-  /// pushes the window is since the previous heartbeat, for one-shot polls
-  /// it is the daemon's lifetime.
+  /// Recent queue-wait p50 (seconds) from the obs histogram: for a pushed
+  /// report the window runs since the subscription's previous report, for
+  /// one-shot polls it is the daemon's lifetime. A change of it alone
+  /// pushes no report.
   double queue_wait_p50_seconds = 0.0;
   std::vector<DeviceLoad> devices;
   /// Live contexts by id and lifecycle state (gpuvm_top's tenant table).
@@ -183,11 +188,24 @@ struct LoadSnapshot {
 std::vector<u8> encode_load(const LoadSnapshot& load);
 StatusOr<LoadSnapshot> decode_load(std::span<const u8> payload);
 
-/// QueryLoad request payload: 0 = one-shot poll, > 0 = subscribe at this
-/// period (the daemon then pushes LoadReport frames until the channel
-/// closes).
+/// QueryLoad request payload: the i64 interval_ns (0 = one-shot poll, > 0 =
+/// subscribe on this grid), then an optional trailing i64 keepalive_ns, the
+/// longest gap between two reports. A payload without it (older clients)
+/// means keepalive_ns == interval_ns: a report every interval.
+struct QueryLoadRequest {
+  i64 interval_ns = 0;
+  i64 keepalive_ns = 0;
+};
+
+/// Without a keepalive (the older form).
 std::vector<u8> encode_query_load(i64 interval_ns);
-StatusOr<i64> decode_query_load(std::span<const u8> payload);
+std::vector<u8> encode_query_load(i64 interval_ns, i64 keepalive_ns);
+/// ErrorProtocol for a truncated or negative interval. A subscription is
+/// refused with ErrorInvalidValue when its interval is below
+/// tuning::kMinReportInterval, its keepalive below its interval, or either
+/// one above what report deadlines can hold without overflow (see
+/// tuning::kMaxReportKeepalive). A poll's keepalive is ignored.
+StatusOr<QueryLoadRequest> decode_query_load(std::span<const u8> payload);
 
 // ---- Live migration (MigrateChunk / MigrateResume, protocol v4) ------------
 //

@@ -30,7 +30,10 @@ class UnixChannel : public MessageChannel {
  public:
   explicit UnixChannel(int fd) : fd_(fd) {}
 
-  ~UnixChannel() override { close(); }
+  ~UnixChannel() override {
+    close();
+    ::close(fd_);
+  }
 
   bool send(Message msg) override {
     const auto frame = encode_frame(msg);
@@ -73,12 +76,15 @@ class UnixChannel : public MessageChannel {
     return out;
   }
 
+  /// Shuts the socket down: a receive() blocked in recv, or one that
+  /// calls it later, reads end-of-stream. The descriptor itself is released
+  /// only with the channel. Releasing it here let a serving thread that
+  /// closed its own connection loop back into recv on the number the next
+  /// accepted connection had been given, and take that connection's
+  /// requests.
   void close() override {
     bool expected = false;
-    if (closed_.compare_exchange_strong(expected, true)) {
-      ::shutdown(fd_, SHUT_RDWR);
-      ::close(fd_);
-    }
+    if (closed_.compare_exchange_strong(expected, true)) ::shutdown(fd_, SHUT_RDWR);
   }
 
   bool closed() const override { return closed_.load(std::memory_order_acquire); }
@@ -153,11 +159,12 @@ Result<std::unique_ptr<UnixSocketServer>> UnixSocketServer::listen(const std::st
 
 void UnixSocketServer::stop() {
   bool expected = false;
-  if (stopping_.compare_exchange_strong(expected, true)) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-  }
+  const bool first = stopping_.compare_exchange_strong(expected, true);
+  // Shutting the socket down wakes the acceptor; the descriptor is released
+  // only after it has left accept(), for the reason UnixChannel::close gives.
+  if (first) ::shutdown(listen_fd_, SHUT_RDWR);
   if (acceptor_.joinable()) acceptor_.join();
+  if (first) ::close(listen_fd_);
   ::unlink(path_.c_str());
 }
 

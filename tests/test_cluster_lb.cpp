@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <vector>
 
 #include "cluster/dispatch_policy.hpp"
 #include "cluster/torque.hpp"
 #include "core/context.hpp"
+#include "core/frontend.hpp"
 #include "obs/metrics.hpp"
 
 namespace gpuvm::cluster {
@@ -51,6 +53,36 @@ DirectoryConfig fast_directory() {
   return config;
 }
 
+/// Latest instant a report sampled at `sampled` turns visible: cluster-link
+/// latency plus well under a microsecond of payload.
+vt::TimePoint visible_by(vt::TimePoint sampled) {
+  return sampled + transport::ChannelCosts::cluster_link().latency + vt::from_micros(1.0);
+}
+
+/// The first instant strictly after `t` of the report grid that starts at
+/// `anchor`, the send instant of a subscription's last report.
+vt::TimePoint grid_after(vt::TimePoint anchor, vt::Duration interval, vt::TimePoint t) {
+  return anchor + interval * ((t - anchor) / interval + 1);
+}
+
+/// The latest report of `node` visible now is the subscription's `seq`-th,
+/// sampled at `sampled`, and none went missing.
+void expect_latest_report(NodeDirectory& dir, NodeId node, vt::TimePoint sampled, u64 seq) {
+  const auto snap = dir.snapshot_of(node);
+  ASSERT_TRUE(snap.has_value());
+  EXPECT_EQ(vt::TimePoint{snap->vt_ns}, sampled);
+  EXPECT_EQ(snap->seq, seq);
+  EXPECT_EQ(dir.report_count(node), seq + 1);  // the subscription's reply, then each report
+}
+
+/// `snap` without the fields whose change alone pushes no report.
+std::vector<u8> reported_fields(transport::LoadSnapshot snap) {
+  snap.seq = 0;
+  snap.vt_ns = 0;
+  snap.queue_wait_p50_seconds = 0.0;
+  return transport::encode_load(snap);
+}
+
 class ClusterLbTest : public ::testing::Test {
  protected:
   ClusterLbTest() : guard_(dom_) { obs::metrics().reset(); }
@@ -79,12 +111,17 @@ TEST_F(ClusterLbTest, HeartbeatsFlowIntoTheDirectory) {
   NodeDirectory* dir = cluster.directory();
   ASSERT_NE(dir, nullptr);
 
-  dom_.sleep_for(vt::from_millis(2.0));  // ~10 heartbeat periods
+  // Idle nodes report once per keepalive: three each by now.
+  std::vector<vt::TimePoint> subscribed;
+  for (size_t n = 0; n < cluster.size(); ++n) {
+    subscribed.emplace_back(dir->snapshot_of(cluster.node(n).id())->vt_ns);
+  }
+  dom_.sleep_until(visible_by(subscribed.back() + dir->keepalive() * 3));
   for (size_t n = 0; n < cluster.size(); ++n) {
     const NodeId id = cluster.node(n).id();
     EXPECT_TRUE(dir->subscribed(id));
     EXPECT_TRUE(dir->dispatchable(id));
-    EXPECT_GT(dir->report_count(id), 3u);
+    expect_latest_report(*dir, id, subscribed[n] + dir->keepalive() * 3, 3);
     auto snap = dir->snapshot_of(id);
     ASSERT_TRUE(snap.has_value());
     EXPECT_EQ(snap->node, id.value);
@@ -101,44 +138,32 @@ TEST_F(ClusterLbTest, EachSubscriptionCostsNoThread) {
   // Each daemon's heartbeat is a timer the clock engine runs, and the
   // directory folds the reports at delivery: neither side runs a thread.
   EXPECT_EQ(dom_.attached_threads(), before);
-  dom_.sleep_for(vt::from_millis(1.0));
+  NodeDirectory* dir = cluster.directory();
+  const NodeId b = cluster.node(1).id();
+  const vt::TimePoint subscribed{dir->snapshot_of(b)->vt_ns};
+  dom_.sleep_until(visible_by(subscribed + dir->keepalive() * 3));
   EXPECT_EQ(dom_.attached_threads(), before);
-  EXPECT_GT(cluster.directory()->report_count(cluster.node(1).id()), 3u);
+  expect_latest_report(*dir, b, subscribed + dir->keepalive() * 3, 3);
   cluster.stop_load_reports();
-}
-
-/// The heartbeat schedule of `node`, checked at the current instant: the
-/// latest visible report was sampled exactly `seq` intervals after the
-/// subscription (`subscribed`, the first snapshot's instant), it is the
-/// latest report due by now, and none went missing.
-void expect_on_schedule(NodeDirectory& dir, NodeId node, vt::TimePoint subscribed,
-                        vt::TimePoint now) {
-  const auto snap = dir.snapshot_of(node);
-  ASSERT_TRUE(snap.has_value());
-  const vt::Duration interval = dir.config().heartbeat_interval;
-  const vt::TimePoint sampled = subscribed + interval * static_cast<i64>(snap->seq);
-  EXPECT_EQ(vt::TimePoint{snap->vt_ns}, sampled);
-  // The next report was sampled an interval later and is still in transit
-  // (cluster-link latency plus well under a microsecond of payload).
-  const transport::ChannelCosts link = transport::ChannelCosts::cluster_link();
-  EXPECT_LE(sampled, now);
-  EXPECT_LT(now, sampled + interval + link.latency + vt::from_micros(1.0));
-  EXPECT_EQ(dir.report_count(node), snap->seq + 1);  // the first reply, then each tick
 }
 
 TEST_F(ClusterLbTest, ReportsKeepTheirInstantsWhileATenantWaitsForAVgpu) {
   // node-b has one vGPU. A holder binds it for 2 ms; a waiter asks for it
   // alone at +0.5 ms, so the waiter's own wait -- holding the scheduler's
-  // mutex -- is what advances the clock through the heartbeats in between.
+  // mutex -- is what advances the clock through the report its queueing
+  // caused. Each change is reported at the first grid instant after it.
   Cluster cluster = make_cluster(two_test_nodes(), 1);
   cluster.enable_load_reports(fast_directory());
   NodeDirectory* dir = cluster.directory();
+  const vt::Duration interval = dir->config().heartbeat_interval;
   const NodeId b = cluster.node(1).id();
   const vt::TimePoint subscribed{dir->snapshot_of(b)->vt_ns};
   core::Scheduler& sched = cluster.node(1).runtime().scheduler();
   core::Context holder_ctx(ContextId{1001}, dom_);
   core::Context waiter_ctx(ContextId{1002}, dom_);
   const vt::TimePoint t0 = dom_.now();
+  const vt::TimePoint bound = grid_after(subscribed, interval, t0);
+  const vt::TimePoint queued = grid_after(bound, interval, t0 + vt::from_millis(0.5));
   int pending_seen = -1;
   vt::TimePoint waiter_bound{};
   {
@@ -146,7 +171,7 @@ TEST_F(ClusterLbTest, ReportsKeepTheirInstantsWhileATenantWaitsForAVgpu) {
     vt::Thread holder(dom_, [&] {
       ASSERT_TRUE(sched.acquire(holder_ctx).has_value());
       dom_.sleep_until(t0 + vt::from_millis(2.0));
-      expect_on_schedule(*dir, b, subscribed, dom_.now());
+      expect_latest_report(*dir, b, queued, 2);
       pending_seen = dir->snapshot_of(b)->pending_contexts;
       sched.release(holder_ctx);
     });
@@ -160,28 +185,33 @@ TEST_F(ClusterLbTest, ReportsKeepTheirInstantsWhileATenantWaitsForAVgpu) {
   }
   EXPECT_EQ(pending_seen, 1);  // the reports saw the waiter queued
   EXPECT_EQ(waiter_bound, t0 + vt::from_millis(2.0));
-  expect_on_schedule(*dir, b, subscribed, dom_.now());
+  // The hand-over and both releases at +2 ms make one report.
+  const vt::TimePoint released = grid_after(queued, interval, waiter_bound);
+  dom_.sleep_until(visible_by(released));
+  expect_latest_report(*dir, b, released, 3);
+  EXPECT_EQ(dir->snapshot_of(b)->pending_contexts, 0);
+  EXPECT_EQ(dir->snapshot_of(b)->bound_contexts, 0);
   cluster.stop_load_reports();
 }
 
 TEST_F(ClusterLbTest, ReportsKeepTheirInstantsWhileDrainWaits) {
   // drain() waits on the daemon's condition variable with its mutex; with
   // every other thread asleep, that wait advances the clock through the
-  // heartbeats until a closer ends the subscriptions 2 ms later.
+  // keepalives until a closer ends the subscriptions after the second one.
   Cluster cluster = make_cluster(two_test_nodes(), 2);
   cluster.enable_load_reports(fast_directory());
   NodeDirectory* dir = cluster.directory();
   const NodeId b = cluster.node(1).id();
   const vt::TimePoint subscribed{dir->snapshot_of(b)->vt_ns};
-  const vt::TimePoint t0 = dom_.now();
+  const vt::TimePoint closing = subscribed + dir->keepalive() * 2 + vt::from_millis(0.5);
   vt::Thread closer(dom_, [&] {
-    dom_.sleep_until(t0 + vt::from_millis(2.0));
-    expect_on_schedule(*dir, b, subscribed, dom_.now());
+    dom_.sleep_until(closing);
+    expect_latest_report(*dir, b, subscribed + dir->keepalive() * 2, 2);
     cluster.stop_load_reports();
   });
-  dom_.sleep_until(t0 + vt::from_millis(0.5));  // only this thread wakes here
+  dom_.sleep_for(vt::from_millis(0.5));  // only this thread wakes here
   cluster.node(1).runtime().drain();
-  EXPECT_EQ(dom_.now(), t0 + vt::from_millis(2.0));
+  EXPECT_EQ(dom_.now(), closing);
   closer.join();
 }
 
@@ -193,28 +223,127 @@ TEST_F(ClusterLbTest, ReportTurnsVisibleExactlyAtItsDeliveryInstant) {
   const NodeId b = cluster.node(1).id();
   dom_.sleep_for(vt::from_millis(1.0));
 
-  const auto last = dir->snapshot_of(b);
-  ASSERT_TRUE(last.has_value());
-  const u64 count = dir->report_count(b);
-  // The idle node's next heartbeat leaves one interval after this one and
-  // carries a snapshot of the same size.
+  // Every report of node-b carries a snapshot of the subscription reply's
+  // size, so each turns visible one fixed transit after it leaves.
+  const auto first = dir->snapshot_of(b);
+  ASSERT_TRUE(first.has_value());
   const transport::ChannelCosts link = transport::ChannelCosts::cluster_link();
   const vt::Duration transit =
-      link.latency + vt::from_seconds(static_cast<double>(transport::encode_load(*last).size()) /
+      link.latency + vt::from_seconds(static_cast<double>(transport::encode_load(*first).size()) /
                                       (link.bandwidth_gbps * 1e9));
-  const vt::TimePoint next_at = vt::TimePoint{last->vt_ns} + config.heartbeat_interval + transit;
-  ASSERT_GT(next_at - vt::Duration{1}, dom_.now());
+  const auto expect_visible_exactly_at = [&](vt::TimePoint sampled) {
+    const auto last = dir->snapshot_of(b);
+    ASSERT_TRUE(last.has_value());
+    const u64 count = dir->report_count(b);
+    const vt::TimePoint next_at = sampled + transit;
+    ASSERT_GT(next_at - vt::Duration{1}, dom_.now());
 
-  dom_.sleep_until(next_at - vt::Duration{1});
-  EXPECT_EQ(dir->report_count(b), count);
-  EXPECT_EQ(dir->snapshot_of(b)->seq, last->seq);
+    dom_.sleep_until(next_at - vt::Duration{1});
+    EXPECT_EQ(dir->report_count(b), count);
+    EXPECT_EQ(dir->snapshot_of(b)->seq, last->seq);
 
-  dom_.sleep_until(next_at);
-  EXPECT_EQ(dir->report_count(b), count + 1);
-  const auto next = dir->snapshot_of(b);
-  ASSERT_TRUE(next.has_value());
-  EXPECT_EQ(next->seq, last->seq + 1);
-  EXPECT_EQ(next->vt_ns, last->vt_ns + config.heartbeat_interval.count());
+    dom_.sleep_until(next_at);
+    EXPECT_EQ(dir->report_count(b), count + 1);
+    const auto next = dir->snapshot_of(b);
+    ASSERT_TRUE(next.has_value());
+    EXPECT_EQ(next->seq, last->seq + 1);
+    EXPECT_EQ(vt::TimePoint{next->vt_ns}, sampled);
+  };
+  // The idle node's next report is the keepalive after the reply.
+  const vt::TimePoint keepalive_at = vt::TimePoint{first->vt_ns} + dir->keepalive();
+  expect_visible_exactly_at(keepalive_at);
+
+  // A change half an interval later is reported at the next grid instant.
+  dom_.sleep_for(config.heartbeat_interval / 2);
+  sim::SimGpu* gpu = cluster.node(1).machine().gpu(cluster.node(1).machine().gpus().front());
+  auto block = gpu->malloc(4096);
+  ASSERT_TRUE(block.has_value());
+  expect_visible_exactly_at(keepalive_at + config.heartbeat_interval);
+  EXPECT_EQ(dir->snapshot_of(b)->devices.front().free_bytes, gpu->free_bytes());
+  cluster.stop_load_reports();
+}
+
+TEST_F(ClusterLbTest, EveryLoadChangeIsReportedAtItsGridInstant) {
+  // The directory's view must be, at every instant, the one a report every
+  // interval would give. A test timer on node-b's report grid samples what
+  // such a report would carry; at each grid instant the directory must show
+  // the previous instant's sample, whose report arrived 80 us later. A
+  // tenant script between grid instants touches every source of change.
+  Cluster cluster = make_cluster(two_test_nodes(), 2);
+  cluster.enable_load_reports(fast_directory());
+  NodeDirectory* dir = cluster.directory();
+  const vt::Duration interval = dir->config().heartbeat_interval;
+  Node& node = cluster.node(1);
+  const NodeId b = node.id();
+  const vt::TimePoint subscribed{dir->snapshot_of(b)->vt_ns};
+
+  std::vector<u8> sampled = reported_fields(*dir->snapshot_of(b));  // the reply's
+  const vt::TimePoint first = grid_after(subscribed, interval, dom_.now());
+  vt::TimePoint next = first;
+  i64 checked = 0;
+  std::optional<vt::Timer> grid;
+  grid.emplace(dom_, [&] {
+    EXPECT_EQ(reported_fields(*dir->snapshot_of(b)), sampled) << "at " << next.count() << " ns";
+    ++checked;
+    sampled = reported_fields(node.runtime().load_snapshot());
+    next += interval;
+    grid->arm(next);
+  });
+  grid->arm(next);
+
+  core::Context standalone(ContextId{1001}, dom_);
+  vt::Thread tenant(dom_, [&] {
+    const auto step = [&] { dom_.sleep_for(vt::from_micros(310.0)); };
+    const auto poke = [&](GpuId id) {  // device memory behind the runtime's back
+      sim::SimGpu* gpu = node.machine().gpu(id);
+      auto block = gpu->malloc(4096);
+      ASSERT_TRUE(block.has_value());
+      step();
+      ASSERT_EQ(gpu->free(*block), Status::Ok);
+      step();
+    };
+    step();
+    {
+      core::FrontendApi api(node.runtime().connect());  // the table grows
+      ASSERT_TRUE(api.connected());
+      step();
+      ASSERT_EQ(api.register_kernels({"burn"}), Status::Ok);
+      auto ptr = api.malloc(1 << 16);
+      ASSERT_TRUE(ptr.has_value());
+      step();
+      // Binds a vGPU and materializes the buffer on the device.
+      ASSERT_EQ(api.launch("burn", {{1, 1, 1}, {64, 1, 1}}, {sim::KernelArg::dev(ptr.value())}),
+                Status::Ok);
+      step();
+      ASSERT_EQ(api.free(ptr.value()), Status::Ok);
+      step();
+      ASSERT_TRUE(node.runtime().scheduler().acquire(standalone).has_value());
+      step();
+      node.runtime().scheduler().release(standalone);
+      step();
+      const GpuId original = node.machine().gpus().front();
+      poke(original);
+      ASSERT_EQ(node.machine().fail_gpu(original), Status::Ok);  // revokes the binding
+      step();
+      const GpuId added = node.machine().add_gpu(sim::test_gpu());
+      step();
+      poke(added);
+    }  // disconnects
+  });
+  tenant.join();
+
+  // The disconnect's report, then an idle stretch of five keepalives.
+  dom_.sleep_until(visible_by(grid_after(subscribed, interval, dom_.now())));
+  const auto last = dir->snapshot_of(b);
+  EXPECT_EQ(last->active_contexts, 1);  // the subscription's own
+  const vt::TimePoint settled{last->vt_ns};
+  dom_.sleep_until(visible_by(settled + dir->keepalive() * 5));
+  expect_latest_report(*dir, b, settled + dir->keepalive() * 5, last->seq + 5);
+
+  grid.reset();
+  // Every grid instant passed was checked; reports went out for a few.
+  EXPECT_EQ(checked, (dom_.now() - first) / interval + 1);
+  EXPECT_LT(dir->report_count(b) * 4, static_cast<u64>(checked));
   cluster.stop_load_reports();
 }
 
@@ -255,14 +384,17 @@ TEST_F(ClusterLbTest, ALinkBrokenInsideATickTearsTheSubscriptionDownAtThatInstan
   const NodeId b = cluster.node(1).id();
   core::Runtime& runtime = cluster.node(1).runtime();
   const vt::TimePoint subscribed{dir->snapshot_of(b)->vt_ns};
-  dom_.sleep_for(vt::from_micros(1000.5));  // between two ticks
+  dom_.sleep_for(vt::from_micros(1000.5));  // between two grid instants
   const int before = runtime.load_snapshot().active_contexts;
   EXPECT_EQ(before, 1);  // the subscription's own context
 
   transport::ScopedFaultInjector chaos(/*seed=*/11);
   chaos.injector().degrade(/*drop_rate=*/1.0, /*extra_delay=*/{});
-  // node-b's next tick drops its report, retries after 50, 100, ..., 1600
-  // us, and breaks the link on the seventh drop, inside that tick.
+  // A change now arms node-b's next report for the next grid instant. That
+  // tick drops its report, retries after 50, 100, ..., 1600 us, and breaks
+  // the link on the seventh drop, inside that tick.
+  sim::SimGpu* gpu = cluster.node(1).machine().gpu(cluster.node(1).machine().gpus().front());
+  ASSERT_TRUE(gpu->malloc(4096).has_value());
   const i64 ticks = (dom_.now() - subscribed) / config.heartbeat_interval + 1;
   const vt::TimePoint broken =
       subscribed + config.heartbeat_interval * ticks + vt::from_micros(3150.0);

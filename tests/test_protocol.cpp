@@ -4,6 +4,7 @@
 // tenants. Drives the daemon through raw Message frames, below FrontendApi.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -414,6 +415,34 @@ TEST_F(ProtocolTest, QueryLoadRejectsMalformedIntervals) {
   WireWriter w;
   w.put<u64>(64);
   EXPECT_EQ(call(*ch, Opcode::Malloc, w.take()), Status::Ok);
+}
+
+TEST_F(ProtocolTest, SubscriptionIntervalsOutOfBoundsAreRefused) {
+  auto ch = connect_raw();
+  const vt::TimePoint before = dom_.now();
+  // 1 ns would cost a clock advance per virtual nanosecond, 2^63 - 1 ns
+  // wraps now + interval, and a keepalive below the interval is no
+  // keepalive: each is refused, and none subscribes.
+  EXPECT_EQ(call(*ch, Opcode::QueryLoad, transport::encode_query_load(1)),
+            Status::ErrorInvalidValue);
+  EXPECT_EQ(call(*ch, Opcode::QueryLoad,
+                 transport::encode_query_load(std::numeric_limits<i64>::max())),
+            Status::ErrorInvalidValue);
+  EXPECT_EQ(call(*ch, Opcode::QueryLoad, transport::encode_query_load(1'000'000, 999'999)),
+            Status::ErrorInvalidValue);
+  // The connection still serves: a one-shot poll answers.
+  Message poll;
+  poll.op = Opcode::QueryLoad;
+  poll.payload = transport::encode_query_load(0);
+  ASSERT_TRUE(ch->send(std::move(poll)));
+  auto reply = ch->receive();
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(transport::reply_status(*reply), Status::Ok);
+  auto load = transport::decode_load(transport::reply_payload(*reply));
+  ASSERT_TRUE(load.has_value());
+  EXPECT_EQ(load->seq, 0u);
+  // Four round trips over the local socket, nothing more.
+  EXPECT_EQ(dom_.now() - before, transport::ChannelCosts::local_socket().latency * 8);
 }
 
 TEST_F(ProtocolTest, DaemonMaskedCapsEmulateAnOlderDaemon) {

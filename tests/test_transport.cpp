@@ -4,13 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
+#include <mutex>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "common/queue.hpp"
+#include "common/tuning.hpp"
 #include "obs/metrics.hpp"
 #include "transport/unix_socket.hpp"
 
@@ -126,6 +130,49 @@ TEST(LoadCodec, RoundTripsTruncatesAndRejectsHostileCounts) {
   EXPECT_EQ(with_count(kDeviceCountAt, 1u << 16), Status::ErrorProtocol);
   EXPECT_EQ(with_count(tenant_count_at, 1u << 20), Status::ErrorProtocol);
   EXPECT_EQ(with_count(tenant_count_at, 3), Status::ErrorProtocol);
+}
+
+TEST(LoadCodec, QueryLoadCarriesAnOptionalKeepaliveAndRefusesHostileIntervals) {
+  constexpr i64 kInterval = 997'000;
+  // Round trip, and a poll ignores what trails it.
+  auto sub = decode_query_load(encode_query_load(kInterval, 16 * kInterval));
+  ASSERT_TRUE(sub.has_value());
+  EXPECT_EQ(sub->interval_ns, kInterval);
+  EXPECT_EQ(sub->keepalive_ns, 16 * kInterval);
+  auto poll = decode_query_load(encode_query_load(0, 5));
+  ASSERT_TRUE(poll.has_value());
+  EXPECT_EQ(poll->interval_ns, 0);
+  EXPECT_EQ(poll->keepalive_ns, 0);
+  EXPECT_EQ(decode_query_load({})->interval_ns, 0);
+
+  // An older client's payload (no keepalive) keeps a report every interval,
+  // also with a few trailing bytes too short to be one.
+  auto old = decode_query_load(encode_query_load(kInterval));
+  ASSERT_TRUE(old.has_value());
+  EXPECT_EQ(old->keepalive_ns, kInterval);
+  std::vector<u8> padded = encode_query_load(kInterval);
+  padded.insert(padded.end(), {1, 2, 3});
+  EXPECT_EQ(decode_query_load(padded)->keepalive_ns, kInterval);
+  // A keepalive equal to the interval, and the bounds themselves, pass.
+  const i64 floor = tuning::kMinReportInterval.count();
+  const i64 max_keepalive = tuning::kMaxReportKeepalive.count();
+  const i64 max_interval = max_keepalive / tuning::kKeepaliveIntervals;
+  EXPECT_TRUE(decode_query_load(encode_query_load(kInterval, kInterval)).has_value());
+  EXPECT_TRUE(decode_query_load(encode_query_load(floor, max_keepalive)).has_value());
+  EXPECT_TRUE(decode_query_load(encode_query_load(max_interval)).has_value());
+
+  // Hostile values: one past each bound.
+  const i64 kMax = std::numeric_limits<i64>::max();
+  for (const auto& payload :
+       {encode_query_load(1), encode_query_load(floor - 1), encode_query_load(max_interval + 1),
+        encode_query_load(kMax), encode_query_load(kInterval, kInterval - 1),
+        encode_query_load(kInterval, -1), encode_query_load(kInterval, max_keepalive + 1),
+        encode_query_load(kInterval, kMax)}) {
+    EXPECT_EQ(decode_query_load(payload).status(), Status::ErrorInvalidValue);
+  }
+  // Malformed, as before: a negative or truncated interval.
+  EXPECT_EQ(decode_query_load(encode_query_load(-5)).status(), Status::ErrorProtocol);
+  EXPECT_EQ(decode_query_load(std::vector<u8>{1, 2, 3}).status(), Status::ErrorProtocol);
 }
 
 TEST(LocalChannel, BidirectionalSendReceive) {
@@ -382,6 +429,45 @@ TEST_F(UnixSocketTest, EndToEndRequestReply) {
   EXPECT_EQ(reply_status(*client_got), Status::Ok);
   WireReader r(reply_payload(*client_got));
   EXPECT_EQ(r.get<u64>(), 0xdead0000u);
+}
+
+TEST_F(UnixSocketTest, AClosedChannelNeverReadsTheNextConnection) {
+  // A serving thread that closes its own connection and loops back into
+  // receive() must read end-of-stream, not the socket a later connection
+  // was given in the meantime.
+  const std::string path = socket_path();
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::unique_ptr<MessageChannel>> accepted;
+  auto server = UnixSocketServer::listen(path, [&](std::unique_ptr<MessageChannel> ch) {
+    std::scoped_lock lock(mu);
+    accepted.push_back(std::move(ch));
+    cv.notify_all();
+  });
+  ASSERT_TRUE(server.has_value());
+  const auto next_accepted = [&] {
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] { return !accepted.empty(); });
+    auto ch = std::move(accepted.back());
+    accepted.pop_back();
+    return ch;
+  };
+
+  auto first_client = unix_connect(path);
+  ASSERT_TRUE(first_client.has_value());
+  auto first = next_accepted();
+  first->close();
+  // The next socket the process opens takes the lowest free descriptor:
+  // the first connection's, had close() released it.
+  auto second_client = unix_connect(path);
+  ASSERT_TRUE(second_client.has_value());
+  auto second = next_accepted();
+  ASSERT_TRUE(second->send(make_msg(Opcode::Synchronize, 7)));
+  ASSERT_FALSE(first->receive().has_value()) << "read another connection's frame";
+  auto got = second_client.value()->receive();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->connection.value, 7u);
+  server.value()->stop();
 }
 
 TEST_F(UnixSocketTest, ConnectToMissingPathFails) {
