@@ -288,7 +288,6 @@ Runtime::Runtime(cudart::CudaRt& rt, RuntimeConfig config)
   // *how* (the ContextLock discipline around the swap engine).
   scheduler_->set_preempt_executor([this](ContextId id) { return preempt_context(id); });
   scheduler_->set_load_listener([this] { load_changed(); });
-  memory_listener_ = rt_->machine().subscribe_memory([this] { load_changed(); });
 }
 
 Runtime::~Runtime() {
@@ -308,7 +307,7 @@ Runtime::~Runtime() {
     threads.swap(threads_);
   }
   threads.clear();
-  rt_->machine().unsubscribe_memory(memory_listener_);
+  if (memory_listener_ != 0) rt_->machine().unsubscribe_memory(memory_listener_);
 }
 
 void Runtime::on_topology_event(sim::TopologyEvent event, GpuId gpu) {
@@ -832,6 +831,11 @@ void Runtime::Session::schedule_from_locked(vt::TimePoint sent) {
 }
 
 void Runtime::Session::start_reports() {
+  // Outside reports_mu_, which a memory listener takes under the machine's
+  // memory lock.
+  std::call_once(rt_.memory_hook_, [&rt = rt_] {
+    rt.memory_listener_ = rt.rt_->machine().subscribe_memory([&rt] { rt.load_changed(); });
+  });
   std::scoped_lock lk(rt_.reports_mu_);
   rt_.reporting_.push_back(this);
   rt_.any_reporting_.store(true, std::memory_order_relaxed);

@@ -221,12 +221,12 @@ class Runtime {
   /// The load-report notifier: each heartbeat subscription arms its report
   /// for the first instant of its grid after now (see Session::tick). The
   /// scheduler calls it after each load publication, every SimGpu of the
-  /// machine after each malloc and free, and this daemon after each
-  /// ContextState store and context-table change. Callers may hold the
-  /// scheduler's mu_, a ContextLock or the machine's memory lock; with no
-  /// subscription it costs one relaxed atomic load. A spurious call costs
-  /// one redundant report, a missing one a stale directory until the next
-  /// keepalive.
+  /// machine after each malloc and free once a subscription has been made
+  /// (memory_hook_), and this daemon after each ContextState store and
+  /// context-table change. Callers may hold the scheduler's mu_, a
+  /// ContextLock or the machine's memory lock; with no subscription it
+  /// costs one relaxed atomic load. A spurious call costs one redundant
+  /// report, a missing one a stale directory until the next keepalive.
   void load_changed();
 
   /// Registers a session for `channel` (nullptr, channel closed, once the
@@ -292,7 +292,11 @@ class Runtime {
   std::mutex reports_mu_;
   std::vector<Session*> reporting_;
   std::atomic<bool> any_reporting_{false};  ///< !reporting_.empty()
-  u64 memory_listener_ = 0;                 ///< SimMachine::subscribe_memory handle
+  /// Device memory is watched from the first subscription on: until then
+  /// the machine calls no listener, and a malloc or free costs one relaxed
+  /// atomic load for it.
+  std::once_flag memory_hook_;
+  u64 memory_listener_ = 0;  ///< SimMachine::subscribe_memory handle; 0 before
 
   std::unique_ptr<MemoryManager> mm_;
   std::unique_ptr<Scheduler> scheduler_;

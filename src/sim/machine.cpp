@@ -92,15 +92,22 @@ void SimMachine::subscribe(Listener listener) {
 u64 SimMachine::subscribe_memory(std::function<void()> listener) {
   std::scoped_lock lock(memory_mu_);
   memory_listeners_.emplace_back(next_memory_listener_, std::move(listener));
+  memory_watched_.store(true, std::memory_order_relaxed);
   return next_memory_listener_++;
 }
 
 void SimMachine::unsubscribe_memory(u64 handle) {
   std::scoped_lock lock(memory_mu_);
   std::erase_if(memory_listeners_, [handle](const auto& entry) { return entry.first == handle; });
+  memory_watched_.store(!memory_listeners_.empty(), std::memory_order_relaxed);
 }
 
 void SimMachine::notify_memory() {
+  // A relaxed load suffices: a subscriber reads device memory after it
+  // subscribed, under the device's lock. If that read missed this change,
+  // it took the lock before the change did, so the subscription happens
+  // before this load.
+  if (!memory_watched_.load(std::memory_order_relaxed)) return;
   std::scoped_lock lock(memory_mu_);
   for (const auto& [handle, listener] : memory_listeners_) listener();
 }

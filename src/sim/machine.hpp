@@ -6,6 +6,7 @@
 // (the gpuvm dispatcher) subscribe to topology-change notifications.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -65,7 +66,8 @@ class SimMachine {
   /// included, on the allocating thread, outside the device's locks but
   /// under a machine lock that unsubscribe_memory takes: after it returns,
   /// no call is in progress. A listener must not allocate or free device
-  /// memory. Returns the handle unsubscribe_memory takes.
+  /// memory. While none is subscribed, a malloc or free pays one relaxed
+  /// atomic load for this. Returns the handle unsubscribe_memory takes.
   u64 subscribe_memory(std::function<void()> listener);
   void unsubscribe_memory(u64 handle);
 
@@ -87,6 +89,7 @@ class SimMachine {
   std::mutex memory_mu_;  // guards the two below; held while a listener runs
   u64 next_memory_listener_ = 1;
   std::vector<std::pair<u64, std::function<void()>>> memory_listeners_;
+  std::atomic<bool> memory_watched_{false};  // !memory_listeners_.empty()
 };
 
 }  // namespace gpuvm::sim

@@ -30,10 +30,7 @@ class UnixChannel : public MessageChannel {
  public:
   explicit UnixChannel(int fd) : fd_(fd) {}
 
-  ~UnixChannel() override {
-    close();
-    ::close(fd_);
-  }
+  ~UnixChannel() override { close(); }
 
   bool send(Message msg) override {
     const auto frame = encode_frame(msg);
@@ -55,6 +52,7 @@ class UnixChannel : public MessageChannel {
   std::optional<Message> receive() override {
     std::scoped_lock lock(recv_mu_);
     while (pending_.empty()) {
+      if (fd_ < 0) return std::nullopt;  // closed
       u8 buf[16384];
       ssize_t n = 0;
       {
@@ -76,30 +74,31 @@ class UnixChannel : public MessageChannel {
     return out;
   }
 
-  /// Shuts the socket down: a receive() blocked in recv, or one that
-  /// calls it later, reads end-of-stream. The descriptor itself is released
-  /// only with the channel. Releasing it here let a serving thread that
-  /// closed its own connection loop back into recv on the number the next
-  /// accepted connection had been given, and take that connection's
-  /// requests.
+  /// Shuts the socket down, which wakes a send or receive blocked on it,
+  /// then releases the descriptor under both I/O locks: a later send or
+  /// receive finds it gone. A call that reached recv or send with the
+  /// number after close() had released it would use whatever socket the
+  /// process opened next, such as the next connection a daemon accepted.
   void close() override {
     bool expected = false;
-    if (closed_.compare_exchange_strong(expected, true)) ::shutdown(fd_, SHUT_RDWR);
+    if (!closed_.compare_exchange_strong(expected, true)) return;
+    ::shutdown(fd_, SHUT_RDWR);
+    std::scoped_lock lock(send_mu_, recv_mu_);
+    ::close(fd_);
+    fd_ = -1;
   }
 
   bool closed() const override { return closed_.load(std::memory_order_acquire); }
 
   bool pending() const override {
-    {
-      std::scoped_lock lock(recv_mu_);
-      if (!pending_.empty()) return true;
-    }
+    std::scoped_lock lock(recv_mu_);
+    if (!pending_.empty()) return true;
     u8 probe;
-    return ::recv(fd_, &probe, 1, MSG_PEEK | MSG_DONTWAIT) > 0;
+    return fd_ >= 0 && ::recv(fd_, &probe, 1, MSG_PEEK | MSG_DONTWAIT) > 0;
   }
 
  private:
-  int fd_;
+  int fd_;  // -1 once closed; written under both mutexes, read under either
   std::atomic<bool> closed_{false};
   std::mutex send_mu_;
   mutable std::mutex recv_mu_;
@@ -161,7 +160,8 @@ void UnixSocketServer::stop() {
   bool expected = false;
   const bool first = stopping_.compare_exchange_strong(expected, true);
   // Shutting the socket down wakes the acceptor; the descriptor is released
-  // only after it has left accept(), for the reason UnixChannel::close gives.
+  // only after it has left accept(), so accept() never runs on a number the
+  // process has reused (see UnixChannel::close).
   if (first) ::shutdown(listen_fd_, SHUT_RDWR);
   if (acceptor_.joinable()) acceptor_.join();
   if (first) ::close(listen_fd_);

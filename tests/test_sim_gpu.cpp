@@ -319,6 +319,34 @@ TEST(SimMachine, TopologyNotifications) {
   EXPECT_EQ(events[3], (std::pair{TopologyEvent::GpuRemoved, b}));
 }
 
+TEST(SimMachine, MemoryListenersHearEverySuccessfulMallocAndFreeWhileSubscribed) {
+  vt::Domain dom;
+  vt::AttachGuard guard(dom);
+  SimMachine machine(dom, SimParams{1});
+  SimGpu* first = machine.gpu(machine.add_gpu(test_gpu(1 << 20)));
+  auto before = first->malloc(256);  // nobody listens yet
+  ASSERT_TRUE(before.has_value());
+
+  int heard = 0;
+  const u64 handle = machine.subscribe_memory([&heard] { ++heard; });
+  auto ptr = first->malloc(256);
+  ASSERT_TRUE(ptr.has_value());
+  EXPECT_EQ(heard, 1);
+  EXPECT_FALSE(first->malloc(u64{1} << 30).has_value());  // failed: nothing changed
+  EXPECT_EQ(first->free(ptr.value() + 1), Status::ErrorInvalidDevicePointer);
+  EXPECT_EQ(heard, 1);
+  ASSERT_EQ(first->free(ptr.value()), Status::Ok);
+  EXPECT_EQ(heard, 2);
+  // A GPU added after the subscription is covered too.
+  SimGpu* later = machine.gpu(machine.add_gpu(test_gpu(1 << 20)));
+  ASSERT_TRUE(later->malloc(256).has_value());
+  EXPECT_EQ(heard, 3);
+
+  machine.unsubscribe_memory(handle);
+  ASSERT_EQ(first->free(before.value()), Status::Ok);
+  EXPECT_EQ(heard, 3);
+}
+
 TEST(SimMachine, DistinctAddressSpacesPerGpu) {
   vt::Domain dom;
   vt::AttachGuard guard(dom);

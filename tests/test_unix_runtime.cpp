@@ -5,6 +5,8 @@
 
 #include <unistd.h>
 
+#include <filesystem>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -121,6 +123,27 @@ TEST_F(UnixRuntimeTest, DisconnectReclaimsResources) {
   }
   runtime_->drain();
   EXPECT_EQ(machine_.gpu(machine_.all_gpus()[0])->used_bytes(), 0u);
+}
+
+TEST_F(UnixRuntimeTest, EndedConnectionsReleaseTheirDescriptors) {
+  // The daemon keeps a served session until it goes, so an ended one must
+  // not keep its socket open: one descriptor per connection ever served
+  // would run the process into its descriptor limit, and accept() fails.
+  const auto open_descriptors = [] {
+    return std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                         std::filesystem::directory_iterator{});
+  };
+  const auto before = open_descriptors();
+  constexpr int kConnections = 200;
+  for (int i = 0; i < kConnections; ++i) {
+    auto channel = transport::unix_connect(path_);
+    ASSERT_TRUE(channel.has_value());
+    FrontendApi api(std::move(channel.value()));
+    ASSERT_TRUE(api.connected());
+  }
+  runtime_->drain();  // every session has closed its channel
+  EXPECT_EQ(runtime_->stats().connections, static_cast<u64>(kConnections));
+  EXPECT_LE(open_descriptors(), before + 2);
 }
 
 }  // namespace
