@@ -428,6 +428,12 @@ class Thread {
   /// the thread being joined.
   void join();
 
+  /// Joins a thread whose function has returned (the caller knows it from
+  /// a flag the function set last) without marking the caller idle: only
+  /// the thread's detach is left, which never waits on the clock, so the
+  /// clock cannot run on while the caller waits.
+  void join_returned() { impl_.join(); }
+
  private:
   std::thread impl_;
 };

@@ -111,13 +111,15 @@ class CallInFlight {
 /// timer -- tears it down, exactly once.
 class Runtime::Session {
  public:
-  Session(Runtime& rt, std::unique_ptr<transport::MessageChannel> channel, bool served_inline)
-      : rt_(rt), channel_(std::move(channel)), served_inline_(served_inline) {}
+  Session(Runtime& rt, std::unique_ptr<transport::MessageChannel> channel)
+      : rt_(rt), channel_(std::move(channel)) {}
 
-  /// Waits out the teardown of a subscription that ended inside a tick, then
-  /// detaches the sink, which waits out a sender still on its way out of a
-  /// call, so nothing refers to the session afterwards.
+  /// Joins the serving thread and waits out the teardown of a subscription
+  /// that ended inside a tick, then detaches the sink, which waits out a
+  /// sender still on its way out of a call, so nothing refers to the session
+  /// afterwards.
   ~Session() {
+    join_serving_thread();
     vt::Thread ending;
     {
       std::scoped_lock lk(mu_);
@@ -131,15 +133,41 @@ class Runtime::Session {
   Session& operator=(const Session&) = delete;
 
   transport::MessageChannel& channel() { return *channel_; }
-  bool served_inline() const { return served_inline_; }
 
-  /// Finished, and freeing it joins no thread. A subscription that ended
-  /// inside a tick keeps its teardown thread until the daemon goes: joining
-  /// it lets the clock run on while the joiner waits in real time, so the
-  /// caller that freed it would resume at an instant the host chose.
+  /// Serves the channel on a thread of its own until it closes
+  /// (serve_channel, Runtime::mu_ held). The thread's last act marks it
+  /// returned.
+  void serve_on_thread(vt::Domain& dom) {
+    server_ = vt::Thread(dom, [this] {
+      while (auto msg = channel_->receive()) {
+        deliver(std::move(*msg), vt::kTimeZero);  // receive() slept already
+      }
+      on_close();
+      server_returned_.store(true, std::memory_order_release);
+    });
+  }
+
+  /// Joins the serving thread, if any. One that has returned is joined
+  /// without marking the caller idle, so the clock stays where it is.
+  void join_serving_thread() {
+    if (!server_.joinable()) return;
+    if (server_returned_.load(std::memory_order_acquire)) {
+      server_.join_returned();
+    } else {
+      server_.join();
+    }
+  }
+
+  /// Finished, and freeing it joins no thread that could still run
+  /// (Runtime::mu_ held): a serving thread must have returned. A
+  /// subscription that ended inside a tick keeps its teardown thread until
+  /// the daemon goes: joining it lets the clock run on while the joiner
+  /// waits in real time, so the caller that freed it would resume at an
+  /// instant the host chose.
   bool reclaimable() {
     std::scoped_lock lk(mu_);
-    return finished_.load(std::memory_order_acquire) && !ending_.joinable();
+    return finished_.load(std::memory_order_acquire) && !ending_.joinable() &&
+           (!server_.joinable() || server_returned_.load(std::memory_order_acquire));
   }
 
   /// Serves one request delivered at `at`: the sink sleeps until then (a
@@ -202,7 +230,6 @@ class Runtime::Session {
 
   Runtime& rt_;
   const std::unique_ptr<transport::MessageChannel> channel_;
-  const bool served_inline_;
   Phase phase_ = Phase::AwaitHello;  // read and written by calls only
 
   /// The connection's causal identity and its running child ordinal,
@@ -255,6 +282,10 @@ class Runtime::Session {
   /// A subscription that ends inside a tick closes and tears down on this
   /// thread, started at the tick's instant: a tick must not block.
   vt::Thread ending_;
+  /// serve_channel's serving thread: set under Runtime::mu_ before any
+  /// reclaimable() reads it.
+  vt::Thread server_;
+  std::atomic<bool> server_returned_{false};  // the serving thread's last store
 };
 
 Runtime::Runtime(cudart::CudaRt& rt, RuntimeConfig config)
@@ -301,12 +332,7 @@ Runtime::~Runtime() {
   // returns false), ends its serving thread and cancels its heartbeat
   // timer. Sessions are freed only once no thread can use them.
   for (const auto& session : sessions) session->channel().close();
-  std::vector<vt::Thread> threads;
-  {
-    std::unique_lock lk(mu_);
-    threads.swap(threads_);
-  }
-  threads.clear();
+  for (const auto& session : sessions) session->join_serving_thread();
   if (memory_listener_ != 0) rt_->machine().unsubscribe_memory(memory_listener_);
 }
 
@@ -342,7 +368,7 @@ std::unique_ptr<transport::MessageChannel> Runtime::connect_with(
   Session* session = nullptr;
   {
     std::unique_lock lk(mu_);
-    session = open_session_locked(std::move(server_end), /*served_inline=*/true, finished);
+    session = open_session_locked(std::move(server_end), finished);
   }
   finished.clear();  // outside mu_: each detaches its sink first
   if (session != nullptr) {
@@ -360,26 +386,17 @@ std::unique_ptr<transport::MessageChannel> Runtime::connect_with(
 }
 
 void Runtime::serve_channel(std::unique_ptr<transport::MessageChannel> channel) {
-  std::vector<std::unique_ptr<Session>> finished;
+  std::vector<std::unique_ptr<Session>> finished;  // freed after lk, outside mu_
   std::unique_lock lk(mu_);
-  Session* session = open_session_locked(std::move(channel), /*served_inline=*/false, finished);
-  if (session == nullptr) return;
-  threads_.emplace_back(rt_->machine().domain(), [session] {
-    while (auto msg = session->channel().receive()) {
-      session->deliver(std::move(*msg), vt::kTimeZero);  // receive() slept already
-    }
-    session->on_close();
-  });
+  Session* session = open_session_locked(std::move(channel), finished);
+  if (session != nullptr) session->serve_on_thread(rt_->machine().domain());
 }
 
 Runtime::Session* Runtime::open_session_locked(
-    std::unique_ptr<transport::MessageChannel> channel, bool served_inline,
+    std::unique_ptr<transport::MessageChannel> channel,
     std::vector<std::unique_ptr<Session>>& finished) {
-  // A serving thread may still be on its way out of a finished session, so
-  // only in-process sessions are freed before the daemon is.
-  const auto open = std::partition(sessions_.begin(), sessions_.end(), [](const auto& s) {
-    return !(s->served_inline() && s->reclaimable());
-  });
+  const auto open = std::partition(sessions_.begin(), sessions_.end(),
+                                   [](const auto& s) { return !s->reclaimable(); });
   finished.insert(finished.end(), std::make_move_iterator(open),
                   std::make_move_iterator(sessions_.end()));
   sessions_.erase(open, sessions_.end());
@@ -389,7 +406,7 @@ Runtime::Session* Runtime::open_session_locked(
   }
   ++open_connections_;
   bump(stats_.connections);
-  sessions_.push_back(std::make_unique<Session>(*this, std::move(channel), served_inline));
+  sessions_.push_back(std::make_unique<Session>(*this, std::move(channel)));
   return sessions_.back().get();
 }
 

@@ -233,7 +233,6 @@ class Runtime {
   /// daemon shuts down). Takes the sessions that have finished out of the
   /// table into `finished`, for the caller to free outside mu_.
   Session* open_session_locked(std::unique_ptr<transport::MessageChannel> channel,
-                               bool served_inline,
                                std::vector<std::unique_ptr<Session>>& finished);
 
   /// The QueryStats answer: the process registry's snapshot plus this
@@ -313,12 +312,11 @@ class Runtime {
   /// only -- never held across a dispatched call.
   mutable std::mutex mu_;
   std::map<u64, std::shared_ptr<Context>> app_contexts_;  // CUDA 4 mode
-  /// Every session not yet freed, with its server endpoint: an in-process
-  /// one is freed at the first connect after it finished, unless it keeps
-  /// a teardown thread; the others with the daemon.
+  /// Every session not yet freed, with its server endpoint and serving
+  /// thread. One is freed at the first connection opened after it finished
+  /// and its serving thread returned, unless it keeps a teardown thread; the
+  /// rest with the daemon.
   std::vector<std::unique_ptr<Session>> sessions_;
-  /// Serving threads (serve_channel).
-  std::vector<vt::Thread> threads_;
   int open_connections_ = 0;
   vt::ConditionVariable drained_cv_;
   bool shutting_down_ = false;

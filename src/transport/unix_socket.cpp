@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <mutex>
 
@@ -14,6 +15,10 @@
 namespace gpuvm::transport {
 
 namespace {
+
+/// How long the acceptor waits before retrying an accept() that failed for
+/// want of descriptors or memory.
+constexpr std::chrono::milliseconds kAcceptRetryDelay{10};
 
 int make_socket() { return ::socket(AF_UNIX, SOCK_STREAM, 0); }
 
@@ -126,13 +131,37 @@ Result<std::unique_ptr<MessageChannel>> unix_connect(const std::string& path) {
 UnixSocketServer::UnixSocketServer(std::string path, int fd, AcceptHandler on_accept)
     : path_(std::move(path)), listen_fd_(fd), on_accept_(std::move(on_accept)) {
   acceptor_ = std::thread([this] {
+    bool short_of_resources = false;  // logs once per run of failures
     while (!stopping_.load(std::memory_order_acquire)) {
       const int conn = ::accept(listen_fd_, nullptr, nullptr);
-      if (conn < 0) {
-        if (errno == EINTR) continue;
-        break;  // listening socket closed
+      if (conn >= 0) {
+        short_of_resources = false;
+        on_accept_(std::make_unique<UnixChannel>(conn));
+        continue;
       }
-      on_accept_(std::make_unique<UnixChannel>(conn));
+      const int err = errno;
+      switch (err) {
+        case EBADF:
+        case EINVAL:
+        case ENOTSOCK:
+          return;  // the listening socket is gone: stop() shut it down
+        case EINTR:
+        case ECONNABORTED:  // the peer gave up before its turn
+        case EPROTO:
+        case EPERM:
+          continue;
+        default:
+          // Out of descriptors (EMFILE, ENFILE) or kernel memory (ENOBUFS,
+          // ENOMEM): the connection waits in the backlog until a closing
+          // one frees what it needs. The acceptor is no vt thread, so it
+          // waits in real time.
+          if (!short_of_resources) {
+            log::warn("unix socket: accept failed (%s); retrying", std::strerror(err));
+            short_of_resources = true;
+          }
+          accept_waits_.fetch_add(1, std::memory_order_relaxed);
+          std::this_thread::sleep_for(kAcceptRetryDelay);
+      }
     }
   });
 }

@@ -15,6 +15,7 @@
 #include <thread>
 
 #include "common/status.hpp"
+#include "common/types.hpp"
 #include "transport/channel.hpp"
 
 namespace gpuvm::transport {
@@ -40,6 +41,10 @@ class UnixSocketServer {
   const std::string& path() const { return path_; }
   void stop();
 
+  /// How many failed accept() calls the acceptor has waited out before its
+  /// next try: those short of descriptors or memory, and unknown errors.
+  u64 accept_waits() const { return accept_waits_.load(std::memory_order_relaxed); }
+
  private:
   UnixSocketServer(std::string path, int fd, AcceptHandler on_accept);
 
@@ -47,6 +52,7 @@ class UnixSocketServer {
   int listen_fd_;
   AcceptHandler on_accept_;
   std::atomic<bool> stopping_{false};
+  std::atomic<u64> accept_waits_{0};
   std::thread acceptor_;
 };
 

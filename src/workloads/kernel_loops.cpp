@@ -1,14 +1,18 @@
 // The two kernel-body loops that dominate the oversubscribed-node host
-// cost, written so GCC vectorizes them for the baseline x86-64 target
-// (this file alone is built with -fno-math-errno -fno-trapping-math; see
-// CMakeLists.txt). No __restrict: GCC versions each loop on a runtime
-// alias check, so a launch whose buffers overlap runs the scalar order.
+// cost, written so GCC vectorizes them (this file alone is built with
+// -fno-math-errno -fno-trapping-math -ffp-contract=off; see CMakeLists.txt).
+// Each loop is one always-inline body, compiled for the baseline x86-64
+// target and, on x86-64 GCC builds, again for x86-64-v3 (AVX2) and
+// x86-64-v4 (AVX-512). The public functions run the widest build this CPU
+// supports. No __restrict: GCC versions each loop on a runtime alias check,
+// so a launch whose buffers overlap runs the scalar order.
 #include "workloads/kernel_loops.hpp"
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 namespace gpuvm::workloads {
 namespace {
@@ -73,10 +77,8 @@ bool overlaps(const float* p, const float* q, u64 count) {
   return lo < hi + bytes && hi < lo + bytes;
 }
 
-}  // namespace
-
-void bs_price_options(const float* s, const float* x, const float* t, float* call,
-                      float* put, u64 n, float r, float v) {
+[[gnu::always_inline]] inline void bs_loop(const float* s, const float* x, const float* t,
+                                            float* call, float* put, u64 n, float r, float v) {
   for (u64 i = 0; i < n; ++i) {
     const float si = s[i];
     const float xi = x[i];
@@ -93,7 +95,7 @@ void bs_price_options(const float* s, const float* x, const float* t, float* cal
   }
 }
 
-void mm_matmul_square(const float* a, const float* b, float* c, u64 n) {
+[[gnu::always_inline]] inline void mm_loop(const float* a, const float* b, float* c, u64 n) {
   // Tiles of kRows rows x kCols columns accumulate in a local array, so
   // each row of b is read once per kRows rows of c instead of once per row.
   // An output overlapping an input must see the ikj loop's partial
@@ -132,6 +134,59 @@ void mm_matmul_square(const float* a, const float* b, float* c, u64 n) {
       for (u64 j = 0; j < n; ++j) c[i * n + j] += aik * b[k * n + j];
     }
   }
+}
+
+// One build of both loops per target; the attribute is all that differs.
+// Every build runs the same IEEE operations in the same order, and with
+// -ffp-contract=off none fuses a multiply and an add, so each build's
+// mm_matmul bytes match the ikj loop and its bs_price bytes match the
+// baseline's, except that a NaN price may carry the other sign.
+void bs_baseline(const float* s, const float* x, const float* t, float* call, float* put, u64 n,
+                 float r, float v) {
+  bs_loop(s, x, t, call, put, n, r, v);
+}
+void mm_baseline(const float* a, const float* b, float* c, u64 n) { mm_loop(a, b, c, n); }
+
+#if defined(__x86_64__) && defined(__GNUC__)
+[[gnu::target("arch=x86-64-v3")]] void bs_v3(const float* s, const float* x, const float* t,
+                                             float* call, float* put, u64 n, float r, float v) {
+  bs_loop(s, x, t, call, put, n, r, v);
+}
+[[gnu::target("arch=x86-64-v3")]] void mm_v3(const float* a, const float* b, float* c, u64 n) {
+  mm_loop(a, b, c, n);
+}
+[[gnu::target("arch=x86-64-v4")]] void bs_v4(const float* s, const float* x, const float* t,
+                                             float* call, float* put, u64 n, float r, float v) {
+  bs_loop(s, x, t, call, put, n, r, v);
+}
+[[gnu::target("arch=x86-64-v4")]] void mm_v4(const float* a, const float* b, float* c, u64 n) {
+  mm_loop(a, b, c, n);
+}
+#endif
+
+}  // namespace
+
+std::span<const KernelLoopVariant> kernel_loop_variants() {
+  static const std::vector<KernelLoopVariant> variants = [] {
+    std::vector<KernelLoopVariant> list;
+#if defined(__x86_64__) && defined(__GNUC__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("x86-64-v4")) list.push_back({"x86-64-v4", bs_v4, mm_v4});
+    if (__builtin_cpu_supports("x86-64-v3")) list.push_back({"x86-64-v3", bs_v3, mm_v3});
+#endif
+    list.push_back({"baseline", bs_baseline, mm_baseline});
+    return list;
+  }();
+  return variants;
+}
+
+void bs_price_options(const float* s, const float* x, const float* t, float* call,
+                      float* put, u64 n, float r, float v) {
+  kernel_loop_variants().front().bs(s, x, t, call, put, n, r, v);
+}
+
+void mm_matmul_square(const float* a, const float* b, float* c, u64 n) {
+  kernel_loop_variants().front().mm(a, b, c, n);
 }
 
 }  // namespace gpuvm::workloads

@@ -1,6 +1,8 @@
 // Shared by the kernel bodies of apps.cpp and apps_extended.cpp: the size
 // check every body runs on its tenant-supplied counts, and the two hot
-// loops that kernel_loops.cpp compiles for SIMD (see CMakeLists.txt).
+// loops that kernel_loops.cpp compiles for SIMD, once per x86-64 level
+// (see CMakeLists.txt). The public loops run the widest build this CPU
+// supports; kernel_loop_variants() lists every build it can run.
 #pragma once
 
 #include <span>
@@ -31,5 +33,20 @@ void bs_price_options(const float* s, const float* x, const float* t, float* cal
 /// `c = 0; c[i][j] += a[i][k] * b[k][j]` for every input, overlapping
 /// buffers included: each element sums its k terms in ascending order.
 void mm_matmul_square(const float* a, const float* b, float* c, u64 n);
+
+/// One build of both loops for one instruction-set level. All builds give
+/// the same bytes, except that a NaN price may carry the other sign.
+struct KernelLoopVariant {
+  const char* isa;  ///< "x86-64-v4", "x86-64-v3" or "baseline"
+  void (*bs)(const float* s, const float* x, const float* t, float* call, float* put, u64 n,
+             float r, float v);
+  void (*mm)(const float* a, const float* b, float* c, u64 n);
+};
+
+/// The builds this CPU runs, widest first, chosen once from the CPU's
+/// feature bits; the baseline build is always last. bs_price_options and
+/// mm_matmul_square call the first. Non-x86-64 and non-GNU builds have
+/// only the baseline.
+std::span<const KernelLoopVariant> kernel_loop_variants();
 
 }  // namespace gpuvm::workloads

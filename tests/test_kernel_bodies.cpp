@@ -2,10 +2,13 @@
 // and run on host buffers, as SimGpu runs it on device memory. bs_price is
 // held to a scalar libm oracle, mm_matmul byte for byte to a plain ikj
 // loop, and every body must refuse size arguments whose products wrap --
-// the counts come from tenants.
+// the counts come from tenants. The two vectorized loops are checked in
+// every build this CPU runs (kernel_loop_variants), not only the one the
+// bodies call.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -18,6 +21,7 @@
 #include "core/runtime.hpp"
 #include "cudart/cudart.hpp"
 #include "sim/machine.hpp"
+#include "workloads/kernel_loops.hpp"
 #include "workloads/workload.hpp"
 
 namespace gpuvm::workloads {
@@ -54,6 +58,68 @@ void oracle_matmul(const float* a, const float* b, float* c, u64 n) {
       for (u64 j = 0; j < n; ++j) c[i * n + j] += aik * b[k * n + j];
     }
   }
+}
+
+/// Options for bs_price, one entry per option.
+struct Options {
+  std::vector<float> s;
+  std::vector<float> x;
+  std::vector<float> t;
+
+  void add(float spot, float strike, float years) {
+    s.push_back(spot);
+    x.push_back(strike);
+    t.push_back(years);
+  }
+  u64 size() const { return s.size(); }
+};
+
+/// The ranges BlackScholes::run draws from.
+Options seeded_options() {
+  constexpr u64 kOptions = 120'000;
+  Rng rng(17);
+  Options o;
+  for (u64 i = 0; i < kOptions; ++i) {
+    const float spot = 5.0f + static_cast<float>(rng.uniform()) * 25.0f;
+    const float strike = 1.0f + static_cast<float>(rng.uniform()) * 99.0f;
+    const float years = 0.25f + static_cast<float>(rng.uniform()) * 9.75f;
+    o.add(spot, strike, years);
+  }
+  return o;
+}
+
+/// Every combination of special values in s, x and t.
+Options special_value_options() {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> specials = {
+      0.0f, -0.0f, 1e-40f, -1e-40f, std::numeric_limits<float>::min(), -1.0f, -1e30f,
+      1e38f, std::numeric_limits<float>::max(), inf, -inf, nan, 20.0f, 0.5f};
+  Options o;
+  for (const float a : specials) {
+    for (const float b : specials) {
+      for (const float c : specials) o.add(a, b, c);
+    }
+  }
+  return o;
+}
+
+struct Prices {
+  std::vector<float> call;
+  std::vector<float> put;
+};
+
+Prices price(const KernelLoopVariant& variant, const Options& o) {
+  Prices p{std::vector<float>(o.size()), std::vector<float>(o.size())};
+  variant.bs(o.s.data(), o.x.data(), o.t.data(), p.call.data(), p.put.data(), o.size(), kRate,
+             kVol);
+  return p;
+}
+
+/// Equal bit for bit, or both NaN.
+bool same_price(float got, float want) {
+  return std::isnan(want) ? std::isnan(got)
+                          : std::bit_cast<u32>(got) == std::bit_cast<u32>(want);
 }
 
 /// One launch's arguments: buffers become device-pointer arguments backed
@@ -95,107 +161,107 @@ class KernelBodies : public ::testing::Test {
     return def->body(kc);
   }
 
-  /// Prices the options with the bs_price body and returns the worst
-  /// |got - want| / (1 + |want|) against the libm oracle over both prices.
-  double worst_bs_error(std::vector<float> s, std::vector<float> x, std::vector<float> t) {
-    const u64 n = s.size();
-    std::vector<float> call(n);
-    std::vector<float> put(n);
-    EXPECT_EQ(run("bs_price", Args{}.buf(s).buf(x).buf(t).buf(call).buf(put).i64v(
+  /// Prices the options through the registered bs_price body.
+  Prices body_price(Options o) {
+    const u64 n = o.size();
+    Prices p{std::vector<float>(n), std::vector<float>(n)};
+    EXPECT_EQ(run("bs_price", Args{}.buf(o.s).buf(o.x).buf(o.t).buf(p.call).buf(p.put).i64v(
                                   static_cast<i64>(n))),
               Status::Ok);
-    double worst = 0.0;
-    for (u64 i = 0; i < n; ++i) {
-      float want_call = 0;
-      float want_put = 0;
-      oracle_price(s[i], x[i], t[i], &want_call, &want_put);
-      worst = std::max({worst, std::fabs(double{call[i]} - want_call) / (1.0 + std::fabs(want_call)),
-                        std::fabs(double{put[i]} - want_put) / (1.0 + std::fabs(want_put))});
-    }
-    return worst;
+    return p;
   }
 
   sim::KernelRegistry registry_;
 };
 
-TEST_F(KernelBodies, BsPriceMatchesTheLibmOracleOnSeededOptions) {
-  // The ranges BlackScholes::run draws from.
-  constexpr u64 kOptions = 120'000;
-  Rng rng(17);
-  std::vector<float> s(kOptions);
-  std::vector<float> x(kOptions);
-  std::vector<float> t(kOptions);
-  for (u64 i = 0; i < kOptions; ++i) {
-    s[i] = 5.0f + static_cast<float>(rng.uniform()) * 25.0f;
-    x[i] = 1.0f + static_cast<float>(rng.uniform()) * 99.0f;
-    t[i] = 0.25f + static_cast<float>(rng.uniform()) * 9.75f;
+/// The worst |got - want| / (1 + |want|) of the options' prices against the
+/// libm oracle over both prices.
+double worst_bs_error(const Options& o, const Prices& got) {
+  double worst = 0.0;
+  for (u64 i = 0; i < o.size(); ++i) {
+    float want_call = 0;
+    float want_put = 0;
+    oracle_price(o.s[i], o.x[i], o.t[i], &want_call, &want_put);
+    worst = std::max({worst,
+                      std::fabs(double{got.call[i]} - want_call) / (1.0 + std::fabs(want_call)),
+                      std::fabs(double{got.put[i]} - want_put) / (1.0 + std::fabs(want_put))});
   }
-  EXPECT_LE(worst_bs_error(s, x, t), 1e-5);
+  return worst;
+}
+
+TEST_F(KernelBodies, BsPriceMatchesTheLibmOracleOnSeededOptions) {
+  const Options options = seeded_options();
+  EXPECT_LE(worst_bs_error(options, body_price(options)), 1e-5) << "bs_price body";
+  for (const KernelLoopVariant& variant : kernel_loop_variants()) {
+    EXPECT_LE(worst_bs_error(options, price(variant, options)), 1e-5) << variant.isa;
+  }
 }
 
 TEST_F(KernelBodies, BsPriceMatchesTheLibmOracleOnEdgeOptions) {
-  std::vector<float> s;
-  std::vector<float> x;
-  std::vector<float> t;
-  const auto add = [&](float spot, float strike, float years) {
-    s.push_back(spot);
-    x.push_back(strike);
-    t.push_back(years);
-  };
+  Options options;
   for (const float years : {0.25f, 1.0f, 4.0f, 10.0f}) {
     for (float strike = 1.0f; strike <= 100.0f; strike += 0.75f) {
       // At-the-money forward: s = x e^-(r + v^2/2) t puts d1 near 0, where
       // both CDF tails are near 1/2 and the sign fold flips.
       const float atm = strike * std::exp(-(kRate + 0.5f * kVol * kVol) * years);
       for (const float nudge : {1.0f, 1.0f - 1e-6f, 1.0f + 1e-6f, 0.999f, 1.001f}) {
-        add(atm * nudge, strike, years);
+        options.add(atm * nudge, strike, years);
       }
     }
   }
   // Deep in and out of the money at short expiry: |d| near 20, so
   // e^(-d^2/2) underflows in libm.
-  for (float strike = 1.0f; strike <= 1.3f; strike += 0.01f) add(30.0f, strike, 0.25f);
-  for (float strike = 90.0f; strike <= 100.0f; strike += 0.5f) add(5.0f, strike, 0.25f);
+  for (float strike = 1.0f; strike <= 1.3f; strike += 0.01f) options.add(30.0f, strike, 0.25f);
+  for (float strike = 90.0f; strike <= 100.0f; strike += 0.5f) options.add(5.0f, strike, 0.25f);
   // The expiry range's ends across the spot and strike ranges.
   for (const float years : {0.25f, 10.0f}) {
     for (float spot = 5.0f; spot <= 30.0f; spot += 1.25f) {
-      for (float strike = 1.0f; strike <= 100.0f; strike += 3.0f) add(spot, strike, years);
+      for (float strike = 1.0f; strike <= 100.0f; strike += 3.0f) {
+        options.add(spot, strike, years);
+      }
     }
   }
-  EXPECT_LE(worst_bs_error(s, x, t), 1e-5);
+  EXPECT_LE(worst_bs_error(options, body_price(options)), 1e-5) << "bs_price body";
+  for (const KernelLoopVariant& variant : kernel_loop_variants()) {
+    EXPECT_LE(worst_bs_error(options, price(variant, options)), 1e-5) << variant.isa;
+  }
 }
 
 TEST_F(KernelBodies, BsPriceTakesAnyInputBits) {
   // Tenants may send any bytes. Every combination of special values in s,
   // x and t prices without undefined behaviour (the sanitizer jobs run
-  // this), and a NaN input makes that option's prices NaN.
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  const float inf = std::numeric_limits<float>::infinity();
-  const std::vector<float> specials = {
-      0.0f, -0.0f, 1e-40f, -1e-40f, std::numeric_limits<float>::min(), -1.0f, -1e30f,
-      1e38f, std::numeric_limits<float>::max(), inf, -inf, nan, 20.0f, 0.5f};
-  std::vector<float> s;
-  std::vector<float> x;
-  std::vector<float> t;
-  for (const float a : specials) {
-    for (const float b : specials) {
-      for (const float c : specials) {
-        s.push_back(a);
-        x.push_back(b);
-        t.push_back(c);
+  // this), and a NaN input makes that option's prices NaN: through the
+  // registered body, and in every build of the loop.
+  const Options o = special_value_options();
+  const auto nan_in_nan_out = [&](const Prices& p, const char* isa) {
+    for (u64 i = 0; i < o.size(); ++i) {
+      if (std::isnan(o.s[i]) || std::isnan(o.x[i]) || std::isnan(o.t[i])) {
+        EXPECT_TRUE(std::isnan(p.call[i]) && std::isnan(p.put[i]))
+            << isa << " s=" << o.s[i] << " x=" << o.x[i] << " t=" << o.t[i];
       }
     }
+  };
+  nan_in_nan_out(body_price(o), "bs_price body");
+  for (const KernelLoopVariant& variant : kernel_loop_variants()) {
+    nan_in_nan_out(price(variant, o), variant.isa);
   }
-  const u64 n = s.size();
-  std::vector<float> call(n);
-  std::vector<float> put(n);
-  ASSERT_EQ(run("bs_price",
-                Args{}.buf(s).buf(x).buf(t).buf(call).buf(put).i64v(static_cast<i64>(n))),
-            Status::Ok);
-  for (u64 i = 0; i < n; ++i) {
-    if (std::isnan(s[i]) || std::isnan(x[i]) || std::isnan(t[i])) {
-      EXPECT_TRUE(std::isnan(call[i]) && std::isnan(put[i]))
-          << "s=" << s[i] << " x=" << x[i] << " t=" << t[i];
+}
+
+TEST_F(KernelBodies, EveryBsPriceBuildMatchesTheBaselineBitForBit) {
+  // The builds differ only in instruction set, so each prices every option
+  // to the baseline's bits. Only a NaN's sign may differ: the wider builds
+  // flip it on some of the special-value grid's NaN prices.
+  const auto variants = kernel_loop_variants();
+  ASSERT_STREQ(variants.back().isa, "baseline");
+  for (const Options& options : {seeded_options(), special_value_options()}) {
+    const Prices want = price(variants.back(), options);
+    for (const KernelLoopVariant& variant : variants) {
+      const Prices got = price(variant, options);
+      u64 differing = 0;
+      for (u64 i = 0; i < options.size(); ++i) {
+        differing += !same_price(got.call[i], want.call[i]) + !same_price(got.put[i], want.put[i]);
+      }
+      EXPECT_EQ(differing, 0u) << variant.isa << " on " << options.size() << " options";
     }
   }
 }
@@ -212,7 +278,13 @@ TEST_F(KernelBodies, MatMulIsByteIdenticalToIkj) {
     std::vector<float> got(n * n, 7.0f);
     ASSERT_EQ(run("mm_matmul", Args{}.buf(a).buf(b).buf(got).i64v(static_cast<i64>(n))),
               Status::Ok);
-    EXPECT_EQ(std::memcmp(got.data(), want.data(), n * n * sizeof(float)), 0) << "n=" << n;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), n * n * sizeof(float)), 0) << "body n=" << n;
+    for (const KernelLoopVariant& variant : kernel_loop_variants()) {
+      std::fill(got.begin(), got.end(), 7.0f);
+      variant.mm(a.data(), b.data(), got.data(), n);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), n * n * sizeof(float)), 0)
+          << variant.isa << " n=" << n;
+    }
   }
 }
 
@@ -226,9 +298,15 @@ TEST_F(KernelBodies, MatMulIntoItsOwnInputMatchesIkj) {
   for (float& v : b) v = static_cast<float>(rng.uniform());
   std::vector<float> want = a;
   oracle_matmul(want.data(), b.data(), want.data(), n);
-  ASSERT_EQ(run("mm_matmul", Args{}.buf(a).buf(b).buf(a).i64v(static_cast<i64>(n))),
+  std::vector<float> got = a;
+  ASSERT_EQ(run("mm_matmul", Args{}.buf(got).buf(b).buf(got).i64v(static_cast<i64>(n))),
             Status::Ok);
-  EXPECT_EQ(std::memcmp(a.data(), want.data(), n * n * sizeof(float)), 0);
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), n * n * sizeof(float)), 0) << "body";
+  for (const KernelLoopVariant& variant : kernel_loop_variants()) {
+    got = a;
+    variant.mm(got.data(), b.data(), got.data(), n);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), n * n * sizeof(float)), 0) << variant.isa;
+  }
 }
 
 TEST_F(KernelBodies, SizeProductsThatWrapAreRefused) {

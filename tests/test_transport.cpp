@@ -3,13 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <limits>
 #include <span>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -467,6 +473,74 @@ TEST_F(UnixSocketTest, AClosedChannelNeverReadsTheNextConnection) {
   auto got = second_client.value()->receive();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->connection.value, 7u);
+  server.value()->stop();
+}
+
+/// Lowers this process's soft descriptor limit for its lifetime.
+class DescriptorLimit {
+ public:
+  explicit DescriptorLimit(rlim_t soft) {
+    ::getrlimit(RLIMIT_NOFILE, &saved_);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = soft;
+    ok_ = ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+  }
+  ~DescriptorLimit() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+  DescriptorLimit(const DescriptorLimit&) = delete;
+  DescriptorLimit& operator=(const DescriptorLimit&) = delete;
+
+  bool ok() const { return ok_; }
+
+ private:
+  rlimit saved_{};
+  bool ok_ = false;
+};
+
+TEST_F(UnixSocketTest, AcceptorKeepsServingAfterDescriptorExhaustion) {
+  // With the limit one above the lowest free descriptor, a client's socket
+  // takes the last one, so the acceptor's accept() fails with EMFILE. Once
+  // descriptors are free again it must accept that client and the next.
+  // The limit stays lowered until the acceptor reports a failed accept().
+  // One connection is made before the limit is lowered: the first time
+  // UBSan checks a UnixChannel's type it opens a pipe, which fails at the
+  // limit and reads as a bad vptr.
+  const std::string path = socket_path();
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::unique_ptr<MessageChannel>> accepted;
+  auto server = UnixSocketServer::listen(path, [&](std::unique_ptr<MessageChannel> ch) {
+    std::scoped_lock lock(mu);
+    accepted.push_back(std::move(ch));
+    cv.notify_all();
+  });
+  ASSERT_TRUE(server.has_value());
+  const auto wait_accepted = [&](size_t count) {
+    std::unique_lock lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(5), [&] { return accepted.size() == count; });
+  };
+  auto first = unix_connect(path);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(wait_accepted(1));
+
+  std::unique_ptr<MessageChannel> starved;
+  {
+    const int lowest_free = ::open("/dev/null", O_RDONLY);
+    ASSERT_GE(lowest_free, 0);
+    ::close(lowest_free);
+    const DescriptorLimit limit(static_cast<rlim_t>(lowest_free) + 1);
+    ASSERT_TRUE(limit.ok());
+    auto client = unix_connect(path);
+    ASSERT_TRUE(client.has_value());
+    starved = std::move(client.value());
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (server.value()->accept_waits() == 0 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_GT(server.value()->accept_waits(), 0u) << "accept() never met the limit";
+  }
+  auto next = unix_connect(path);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_TRUE(wait_accepted(3)) << "the acceptor stopped at the descriptor limit";
   server.value()->stop();
 }
 

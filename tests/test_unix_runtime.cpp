@@ -5,7 +5,9 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -126,9 +128,9 @@ TEST_F(UnixRuntimeTest, DisconnectReclaimsResources) {
 }
 
 TEST_F(UnixRuntimeTest, EndedConnectionsReleaseTheirDescriptors) {
-  // The daemon keeps a served session until it goes, so an ended one must
-  // not keep its socket open: one descriptor per connection ever served
-  // would run the process into its descriptor limit, and accept() fails.
+  // An ended session is freed only when a later connection arrives, so it
+  // must not keep its socket open until then: a daemon whose last
+  // connections each held a descriptor could run into its descriptor limit.
   const auto open_descriptors = [] {
     return std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
                          std::filesystem::directory_iterator{});
@@ -144,6 +146,34 @@ TEST_F(UnixRuntimeTest, EndedConnectionsReleaseTheirDescriptors) {
   runtime_->drain();  // every session has closed its channel
   EXPECT_EQ(runtime_->stats().connections, static_cast<u64>(kConnections));
   EXPECT_LE(open_descriptors(), before + 2);
+}
+
+TEST_F(UnixRuntimeTest, EndedConnectionsFreeTheirServingThreads) {
+  // Each served connection has a thread of its own, and a thread not yet
+  // joined keeps its stack mapped. The daemon frees an ended session and
+  // joins its thread at the next connection, so the maps stay flat however
+  // many connections it has served.
+  const auto mapped_regions = [] {
+    std::ifstream maps("/proc/self/maps");
+    return std::count(std::istreambuf_iterator<char>(maps), std::istreambuf_iterator<char>(),
+                      '\n');
+  };
+  const auto serve = [&](int connections) {
+    for (int i = 0; i < connections; ++i) {
+      auto channel = transport::unix_connect(path_);
+      ASSERT_TRUE(channel.has_value());
+      FrontendApi api(std::move(channel.value()));  // Hello; Goodbye when it goes
+      ASSERT_TRUE(api.connected());
+    }
+    runtime_->drain();
+  };
+  // Warm-up: the allocator's regions and the C library's cache of thread
+  // stacks (a few joined stacks it keeps for reuse) fill first.
+  serve(20);
+  const auto before = mapped_regions();
+  serve(200);
+  EXPECT_EQ(runtime_->stats().connections, 220u);
+  EXPECT_LE(mapped_regions(), before + 16);
 }
 
 }  // namespace
