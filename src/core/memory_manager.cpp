@@ -200,7 +200,7 @@ Status MemoryManager::on_copy_h2d(ContextId ctx, VirtualPtr dst, std::span<const
   if (mem == nullptr) return Status::ErrorNoValidPte;
   const auto [pte, offset] = locate(*mem, dst);
   if (pte == nullptr) return Status::ErrorNoValidPte;
-  if (offset + src.size() > pte->size) {
+  if (src.size() > pte->size - offset) {
     bump(stats_.bounds_rejections);
     return Status::ErrorSwapSizeMismatch;  // caught before reaching the GPU
   }
@@ -340,7 +340,7 @@ Status MemoryManager::on_copy_d2h(ContextId ctx, std::span<std::byte> dst, Virtu
   if (mem == nullptr) return Status::ErrorNoValidPte;
   const auto [pte, offset] = locate(*mem, src);
   if (pte == nullptr) return Status::ErrorNoValidPte;
-  if (offset + size > pte->size || dst.size() < size) {
+  if (size > pte->size - offset || dst.size() < size) {
     bump(stats_.bounds_rejections);
     return Status::ErrorSwapSizeMismatch;
   }
@@ -360,7 +360,8 @@ Status MemoryManager::on_copy_d2d(ContextId ctx, VirtualPtr dst, VirtualPtr src,
   const auto [spte, src_off] = locate(*mem, src);
   const auto [dpte, dst_off] = locate(*mem, dst);
   if (spte == nullptr || dpte == nullptr) return Status::ErrorNoValidPte;
-  if (src_off + size > spte->size || dst_off + size > dpte->size) {
+  // Written as differences: a sum of a hostile size and an offset wraps.
+  if (size > spte->size - src_off || size > dpte->size - dst_off) {
     bump(stats_.bounds_rejections);
     return Status::ErrorSwapSizeMismatch;
   }
@@ -668,9 +669,10 @@ MemoryManager::PrepareResult MemoryManager::prepare_launch(
         pte->owner_client = client;
         pte->resident_gpu = gpu;
         pte->is_allocated = true;
-        // A fresh device allocation holds zeroes (value-initialized blocks),
-        // exactly like swap bytes outside swap_valid: only the validated
-        // ranges need uploading to re-materialize the entry.
+        // A fresh device allocation reads as zeroes (the device zeroes its
+        // never-written bytes on first read), exactly like swap bytes
+        // outside swap_valid: only the validated ranges need uploading to
+        // re-materialize the entry.
         pte->host_dirty = pte->swap_valid;
         mem->resident_bytes.fetch_add(pte->size, std::memory_order_relaxed);
         mem->resident_gpu.store(gpu.value, std::memory_order_relaxed);

@@ -104,7 +104,7 @@ struct PageTableEntry {
   /// holds zeroes and everything ever populated must be uploaded.
   IntervalSet host_dirty;
   /// Swap-validity map: ranges ever populated with data. Bytes outside are
-  /// zero in swap *and* on any fresh (value-initialized) device allocation,
+  /// zero in swap *and* on any fresh device allocation (which reads as zero),
   /// so a bounce (swap-out then swap-in with no intervening host mutation)
   /// uploads only the validated ranges and never-touched tails travel for
   /// free. Survives swap-out, device loss and checkpoint/restore.

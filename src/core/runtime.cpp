@@ -1397,15 +1397,22 @@ Message Runtime::handle(Context& ctx, transport::MessageChannel& channel, const 
       const u64 size = r.get<u64>();
       if (!r.ok()) return reply(Status::ErrorProtocol);
       const auto ctx_lock = lock_context(ctx.lock);
-      // No copy can exceed the context's footprint: a larger size gets an
-      // empty buffer, which on_copy_d2h rejects, instead of an allocation.
-      std::vector<u8> out(size <= mm_->mem_usage(ctx.id) ? size : 0);
+      // The reply payload is sized once, [i32 status][u64 length][bytes],
+      // and on_copy_d2h writes the bytes into its tail. No copy can exceed
+      // the context's footprint: a larger size gets an empty tail, which
+      // on_copy_d2h rejects, instead of an allocation.
+      constexpr size_t kHead = sizeof(i32) + sizeof(u64);
+      Message out;
+      out.op = Opcode::Reply;
+      out.connection = conn;
+      out.payload.resize(kHead + (size <= mm_->mem_usage(ctx.id) ? size : 0));
       const Status s = mm_->on_copy_d2h(
-          ctx.id, std::as_writable_bytes(std::span(out.data(), out.size())), src, size);
+          ctx.id, std::as_writable_bytes(std::span(out.payload).subspan(kHead)), src, size);
       if (!ok(s)) return reply(s);
-      WireWriter w;
-      w.put_bytes(out);
-      return reply(Status::Ok, w.take());
+      const i32 status = static_cast<i32>(Status::Ok);
+      std::memcpy(out.payload.data(), &status, sizeof status);
+      std::memcpy(out.payload.data() + sizeof status, &size, sizeof size);
+      return out;
     }
     case Opcode::MemcpyD2D: {
       const u64 dst = r.get<u64>();

@@ -36,6 +36,7 @@ class AddressSpaceAllocator {
   /// Size of the live allocation at `addr`, if any.
   std::optional<u64> allocation_size(u64 addr) const;
 
+  u64 base() const { return base_; }
   u64 capacity() const { return capacity_; }
   u64 used_bytes() const { return used_; }
   u64 free_bytes() const { return capacity_ - used_; }

@@ -1,5 +1,8 @@
 #include "sim/sim_gpu.hpp"
 
+#include <sanitizer/asan_interface.h>
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
 #include <optional>
@@ -46,6 +49,24 @@ SimGpu::SimGpu(GpuId id, GpuSpec spec, SimParams params, vt::Domain& dom)
   }
 }
 
+SimGpu::~SimGpu() {
+  if (region_ == nullptr) return;
+  // Under ASan freed ranges are poisoned, and the shadow outlives the
+  // mapping: clear it over every byte ever allocated before unmapping.
+  ASAN_UNPOISON_MEMORY_REGION(region_, region_high_water_);
+  munmap(region_, allocator_.capacity());
+}
+
+void SimGpu::Block::zero_unwritten(u64 offset, u64 n) {
+  if (unwritten.empty()) return;
+  for (const ByteRange& r : unwritten.ranges()) {
+    const u64 begin = std::max(r.begin, offset);
+    const u64 end = std::min(r.end, offset + n);
+    if (begin < end) std::memset(data + begin, 0, end - begin);
+  }
+  wrote(offset, n);
+}
+
 Status SimGpu::check_healthy_and_count() {
   if (!healthy()) return Status::ErrorDeviceUnavailable;
   // Claim one unit of the armed countdown with a CAS. A plain fetch_sub
@@ -90,8 +111,24 @@ Result<DevicePtr> SimGpu::malloc(u64 size) {
     std::scoped_lock lock(mem_mu_);
     addr = allocator_.allocate(size);
     if (!addr.has_value()) return Status::ErrorMemoryAllocation;
-    auto block = std::make_unique<Block>();
-    block->data.resize(allocator_.allocation_size(*addr).value());
+    if (region_ == nullptr) {
+      // Lazily, so a deployment pays for the mapping only once it allocates;
+      // untouched pages cost nothing until a read or write reaches them.
+      void* region = mmap(nullptr, allocator_.capacity(), PROT_READ | PROT_WRITE,
+                          MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+      if (region == MAP_FAILED) {
+        (void)allocator_.release(*addr);
+        return Status::ErrorMemoryAllocation;
+      }
+      region_ = static_cast<std::byte*>(region);
+    }
+    const u64 offset = *addr - allocator_.base();
+    Block block;
+    block.data = region_ + offset;
+    block.size = allocator_.allocation_size(*addr).value();
+    block.unwritten.add(0, block.size);
+    region_high_water_ = std::max(region_high_water_, offset + block.size);
+    ASAN_UNPOISON_MEMORY_REGION(block.data, block.size);
     blocks_.emplace(*addr, std::move(block));
     ++stats_.mallocs;
   }
@@ -104,7 +141,13 @@ Status SimGpu::free(DevicePtr ptr) {
   {
     std::scoped_lock lock(mem_mu_);
     if (!allocator_.release(ptr)) return Status::ErrorInvalidDevicePointer;
-    blocks_.erase(ptr);
+    const auto it = blocks_.find(ptr);
+    // Freed bytes stay poisoned under ASan until they are allocated again,
+    // so a kernel or copy through a stale pointer trips the sanitizer.
+    // Only freed ranges are poisoned: shadowing the whole region would cost
+    // an eighth of the device's capacity.
+    ASAN_POISON_MEMORY_REGION(it->second.data, it->second.size);
+    blocks_.erase(it);
     ++stats_.frees;
   }
   if (on_memory_change_) on_memory_change_();
@@ -120,21 +163,51 @@ const SimGpu::Block* SimGpu::locate_locked(DevicePtr addr, u64* offset) const {
   if (it == blocks_.begin()) return nullptr;
   --it;
   const u64 start = it->first;
-  const u64 size = it->second->data.size();
-  if (addr < start || addr >= start + size) return nullptr;
+  if (addr < start || addr - start >= it->second.size) return nullptr;
   *offset = addr - start;
-  return it->second.get();
+  return &it->second;
+}
+
+Status SimGpu::write_locked(DevicePtr dst, std::span<const std::byte> src) {
+  u64 offset = 0;
+  Block* block = locate_locked(dst, &offset);
+  if (block == nullptr) return Status::ErrorInvalidDevicePointer;
+  if (src.size() > block->size - offset) return Status::ErrorInvalidValue;
+  std::memcpy(block->data + offset, src.data(), src.size());
+  block->wrote(offset, src.size());
+  return Status::Ok;
+}
+
+Status SimGpu::read_locked(std::span<std::byte> dst, DevicePtr src, u64 size) {
+  u64 offset = 0;
+  Block* block = locate_locked(src, &offset);
+  if (block == nullptr) return Status::ErrorInvalidDevicePointer;
+  if (size > block->size - offset || dst.size() < size) return Status::ErrorInvalidValue;
+  block->zero_unwritten(offset, size);
+  std::memcpy(dst.data(), block->data + offset, size);
+  return Status::Ok;
+}
+
+Status SimGpu::copy_locked(DevicePtr dst, SimGpu& from, DevicePtr src, u64 size) {
+  u64 src_off = 0;
+  u64 dst_off = 0;
+  Block* sblock = from.locate_locked(src, &src_off);
+  Block* dblock = locate_locked(dst, &dst_off);
+  if (sblock == nullptr || dblock == nullptr) return Status::ErrorInvalidDevicePointer;
+  if (size > sblock->size - src_off || size > dblock->size - dst_off) {
+    return Status::ErrorInvalidValue;
+  }
+  sblock->zero_unwritten(src_off, size);
+  std::memmove(dblock->data + dst_off, sblock->data + src_off, size);
+  dblock->wrote(dst_off, size);
+  return Status::Ok;
 }
 
 Status SimGpu::copy_to_device(DevicePtr dst, std::span<const std::byte> src) {
   if (const Status s = check_healthy_and_count(); !ok(s)) return s;
   {
     std::scoped_lock lock(mem_mu_);
-    u64 offset = 0;
-    Block* block = locate_locked(dst, &offset);
-    if (block == nullptr) return Status::ErrorInvalidDevicePointer;
-    if (offset + src.size() > block->data.size()) return Status::ErrorInvalidValue;
-    std::memcpy(block->data.data() + offset, src.data(), src.size());
+    if (const Status s = write_locked(dst, src); !ok(s)) return s;
     stats_.bytes_to_device += src.size();
   }
   vt::TimePoint start{};
@@ -153,11 +226,7 @@ Result<vt::TimePoint> SimGpu::copy_to_device_async(DevicePtr dst,
   if (const Status s = check_healthy_and_count(); !ok(s)) return s;
   {
     std::scoped_lock lock(mem_mu_);
-    u64 offset = 0;
-    Block* block = locate_locked(dst, &offset);
-    if (block == nullptr) return Status::ErrorInvalidDevicePointer;
-    if (offset + src.size() > block->data.size()) return Status::ErrorInvalidValue;
-    std::memcpy(block->data.data() + offset, src.data(), src.size());
+    if (const Status s = write_locked(dst, src); !ok(s)) return s;
     stats_.bytes_to_device += src.size();
   }
   vt::TimePoint start{};
@@ -174,11 +243,7 @@ Status SimGpu::copy_from_device(std::span<std::byte> dst, DevicePtr src, u64 siz
   if (dst.size() < size) return Status::ErrorInvalidValue;
   {
     std::scoped_lock lock(mem_mu_);
-    u64 offset = 0;
-    const Block* block = locate_locked(src, &offset);
-    if (block == nullptr) return Status::ErrorInvalidDevicePointer;
-    if (offset + size > block->data.size()) return Status::ErrorInvalidValue;
-    std::memcpy(dst.data(), block->data.data() + offset, size);
+    if (const Status s = read_locked(dst, src, size); !ok(s)) return s;
     stats_.bytes_from_device += size;
   }
   vt::TimePoint start{};
@@ -197,11 +262,7 @@ Result<vt::TimePoint> SimGpu::copy_from_device_async(std::span<std::byte> dst, D
   if (dst.size() < size) return Status::ErrorInvalidValue;
   {
     std::scoped_lock lock(mem_mu_);
-    u64 offset = 0;
-    const Block* block = locate_locked(src, &offset);
-    if (block == nullptr) return Status::ErrorInvalidDevicePointer;
-    if (offset + size > block->data.size()) return Status::ErrorInvalidValue;
-    std::memcpy(dst.data(), block->data.data() + offset, size);
+    if (const Status s = read_locked(dst, src, size); !ok(s)) return s;
     stats_.bytes_from_device += size;
   }
   vt::TimePoint start{};
@@ -217,15 +278,7 @@ Status SimGpu::copy_device_to_device(DevicePtr dst, DevicePtr src, u64 size) {
   if (const Status s = check_healthy_and_count(); !ok(s)) return s;
   {
     std::scoped_lock lock(mem_mu_);
-    u64 src_off = 0;
-    u64 dst_off = 0;
-    const Block* sblock = locate_locked(src, &src_off);
-    Block* dblock = locate_locked(dst, &dst_off);
-    if (sblock == nullptr || dblock == nullptr) return Status::ErrorInvalidDevicePointer;
-    if (src_off + size > sblock->data.size() || dst_off + size > dblock->data.size()) {
-      return Status::ErrorInvalidValue;
-    }
-    std::memmove(dblock->data.data() + dst_off, sblock->data.data() + src_off, size);
+    if (const Status s = copy_locked(dst, *this, src, size); !ok(s)) return s;
   }
   // On-device copies run at device-memory bandwidth (read + write).
   const double seconds = 2.0 * static_cast<double>(size) *
@@ -245,15 +298,10 @@ Status SimGpu::copy_from_peer(DevicePtr dst, SimGpu& peer, DevicePtr src, u64 si
   if (const Status s = check_healthy_and_count(); !ok(s)) return s;
   if (!peer.healthy()) return Status::ErrorDeviceUnavailable;
   {
-    // Pull the bytes: read from the peer's backing, write into ours.
-    std::vector<std::byte> staging(size);
-    if (const Status s = peer.peek(staging, src, size); !ok(s)) return s;
-    std::scoped_lock lock(mem_mu_);
-    u64 offset = 0;
-    Block* block = locate_locked(dst, &offset);
-    if (block == nullptr) return Status::ErrorInvalidDevicePointer;
-    if (offset + size > block->data.size()) return Status::ErrorInvalidValue;
-    std::memcpy(block->data.data() + offset, staging.data(), size);
+    // Pull the bytes straight from the peer's region into ours. Both locks
+    // at once, deadlock-free, since two devices may pull from each other.
+    std::scoped_lock lock(mem_mu_, peer.mem_mu_);
+    if (const Status s = copy_locked(dst, peer, src, size); !ok(s)) return s;
   }
   // One DMA hop at PCIe speed (GPUDirect peer-to-peer), vs. two for a
   // bounce through host memory.
@@ -267,24 +315,14 @@ Status SimGpu::copy_from_peer(DevicePtr dst, SimGpu& peer, DevicePtr src, u64 si
   return Status::Ok;
 }
 
-Status SimGpu::peek(std::span<std::byte> dst, DevicePtr src, u64 size) const {
+Status SimGpu::peek(std::span<std::byte> dst, DevicePtr src, u64 size) {
   std::scoped_lock lock(mem_mu_);
-  u64 offset = 0;
-  const Block* block = locate_locked(src, &offset);
-  if (block == nullptr) return Status::ErrorInvalidDevicePointer;
-  if (offset + size > block->data.size() || dst.size() < size) return Status::ErrorInvalidValue;
-  std::memcpy(dst.data(), block->data.data() + offset, size);
-  return Status::Ok;
+  return read_locked(dst, src, size);
 }
 
 Status SimGpu::poke(DevicePtr dst, std::span<const std::byte> src) {
   std::scoped_lock lock(mem_mu_);
-  u64 offset = 0;
-  Block* block = locate_locked(dst, &offset);
-  if (block == nullptr) return Status::ErrorInvalidDevicePointer;
-  if (offset + src.size() > block->data.size()) return Status::ErrorInvalidValue;
-  std::memcpy(block->data.data() + offset, src.data(), src.size());
-  return Status::Ok;
+  return write_locked(dst, src);
 }
 
 Status SimGpu::launch(const KernelDef& def, const LaunchConfig& config,
@@ -304,7 +342,9 @@ Status SimGpu::launch(const KernelDef& def, const LaunchConfig& config,
       u64 offset = 0;
       Block* block = locate_locked(args[i].as_ptr(), &offset);
       if (block == nullptr) return Status::ErrorInvalidDevicePointer;
-      buffers[i] = std::span<std::byte>(block->data).subspan(offset);
+      // The body may read anything from the pointer to the allocation's end.
+      block->zero_unwritten(offset, block->size - offset);
+      buffers[i] = std::span<std::byte>(block->data + offset, block->size - offset);
     }
     ++stats_.kernels_launched;
   }
@@ -317,7 +357,8 @@ Status SimGpu::launch(const KernelDef& def, const LaunchConfig& config,
     u64 offset = 0;
     Block* block = locate_locked(ptr, &offset);
     if (block == nullptr) return {};
-    return std::span<std::byte>(block->data).subspan(offset);
+    block->zero_unwritten(offset, block->size - offset);
+    return std::span<std::byte>(block->data + offset, block->size - offset);
   };
   KernelExecContext ctx(config, args, std::move(buffers), std::move(resolver));
   const Status body_status =

@@ -13,17 +13,19 @@
 //   - failure injection and hot removal for the fault-tolerance and
 //     dynamic-downgrade experiments.
 // Kernel bodies execute real host math over the backing bytes so data
-// correctness is observable end to end.
+// correctness is observable end to end. The backing is one host region the
+// size of the device's capacity, mapped at the first malloc: a device
+// pointer's bytes sit at region + (ptr - base).
 #pragma once
 
 #include <atomic>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
 
+#include "common/interval_set.hpp"
 #include "common/stats_table.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
@@ -69,12 +71,17 @@ inline constexpr auto kGpuStatsFields = std::to_array<StatField<GpuStats>>({
 class SimGpu {
  public:
   SimGpu(GpuId id, GpuSpec spec, SimParams params, vt::Domain& dom);
+  ~SimGpu();
+  SimGpu(const SimGpu&) = delete;
+  SimGpu& operator=(const SimGpu&) = delete;
 
   GpuId id() const { return id_; }
   const GpuSpec& spec() const { return spec_; }
   const SimParams& params() const { return params_; }
 
   // ---- Memory management -------------------------------------------------
+  /// A fresh allocation reads as zeroes on every read path; the memory
+  /// manager relies on it.
   Result<DevicePtr> malloc(u64 size);
   Status free(DevicePtr ptr);
 
@@ -101,13 +108,14 @@ class SimGpu {
   Status copy_device_to_device(DevicePtr dst, DevicePtr src, u64 size);
 
   /// Direct GPU-to-GPU transfer (CUDA 4.0 peer access): pulls `size` bytes
-  /// from `src` on `peer` into `dst` on this device over one PCIe hop,
-  /// occupying this device's copy engine. Both devices must be healthy.
+  /// from `src` on `peer`, another device, into `dst` on this device over
+  /// one PCIe hop, occupying this device's copy engine. Both devices must be
+  /// healthy.
   Status copy_from_peer(DevicePtr dst, SimGpu& peer, DevicePtr src, u64 size);
 
   /// Zero-cost accessors used by the test harness to verify device state
   /// without perturbing modeled time.
-  Status peek(std::span<std::byte> dst, DevicePtr src, u64 size) const;
+  Status peek(std::span<std::byte> dst, DevicePtr src, u64 size);
   Status poke(DevicePtr dst, std::span<const std::byte> src);
 
   // ---- Execution ----------------------------------------------------------
@@ -165,8 +173,19 @@ class SimGpu {
   void set_memory_callback(std::function<void()> cb) { on_memory_change_ = std::move(cb); }
 
  private:
+  /// One live allocation. Its never-written bytes read as zero: a read path
+  /// zeroes them in the region first, so a reused address never shows the
+  /// bytes of the allocation freed before it, and malloc zeroes nothing.
   struct Block {
-    std::vector<std::byte> data;
+    std::byte* data = nullptr;  ///< the allocation's bytes in the region
+    u64 size = 0;
+    IntervalSet unwritten;      ///< offsets no write path has stored to yet
+
+    /// A write path stored [offset, offset + n).
+    void wrote(u64 offset, u64 n) { unwritten.erase(offset, offset + n); }
+    /// A read path is about to read [offset, offset + n): zeroes what of it
+    /// was never written.
+    void zero_unwritten(u64 offset, u64 n);
   };
 
   /// A resource occupied in virtual time. Callers compute their completion
@@ -239,6 +258,13 @@ class SimGpu {
   Block* locate_locked(DevicePtr addr, u64* offset);
   const Block* locate_locked(DevicePtr addr, u64* offset) const;
 
+  // The bounds-checked data paths every public copy goes through, so each
+  // write marks its range written and each read zeroes what was not. The
+  // caller holds mem_mu_ (copy_locked: also `from`'s, a peer or this device).
+  Status write_locked(DevicePtr dst, std::span<const std::byte> src);
+  Status read_locked(std::span<std::byte> dst, DevicePtr src, u64 size);
+  Status copy_locked(DevicePtr dst, SimGpu& from, DevicePtr src, u64 size);
+
   Status check_healthy_and_count();
 
   GpuId id_;
@@ -246,9 +272,11 @@ class SimGpu {
   SimParams params_;
   vt::Domain* dom_;
 
-  mutable std::mutex mem_mu_;   // guards allocator_, blocks_, stats_
+  mutable std::mutex mem_mu_;   // guards allocator_, blocks_, region_, stats_
   AddressSpaceAllocator allocator_;
-  std::map<DevicePtr, std::unique_ptr<Block>> blocks_;
+  std::map<DevicePtr, Block> blocks_;
+  std::byte* region_ = nullptr;  // allocator_.capacity() bytes, mapped at the first malloc
+  u64 region_high_water_ = 0;    // end offset of the highest allocation made
   GpuStats stats_;
 
   Engine compute_;

@@ -203,6 +203,37 @@ TEST_F(ProtocolTest, HugeCountsAndSizesGetErrorReplies) {
   EXPECT_EQ(call(*ch, Opcode::Malloc, w.take()), Status::Ok);
 }
 
+TEST_F(ProtocolTest, WrappingDeviceToDeviceSizeGetsAnErrorReply) {
+  // offset + size wraps to 0 past 2^64, so a bound written as a sum passed
+  // this frame and the copy ran off the end of the daemon's swap area.
+  auto ch = connect_raw();
+  const auto malloc_4k = [&] {
+    WireWriter w;
+    w.put<u64>(4096);
+    Message msg;
+    msg.op = Opcode::Malloc;
+    msg.payload = w.take();
+    EXPECT_TRUE(ch->send(std::move(msg)));
+    auto reply = ch->receive();
+    EXPECT_TRUE(reply.has_value());
+    EXPECT_EQ(transport::reply_status(*reply), Status::Ok);
+    WireReader r(transport::reply_payload(*reply));
+    return r.get<u64>();
+  };
+  const u64 a = malloc_4k();
+  const u64 b = malloc_4k();
+  WireWriter d2d;
+  d2d.put<u64>(b + 8);      // dst
+  d2d.put<u64>(a + 8);      // src
+  d2d.put<u64>(~0ull - 7);  // size: 2^64 - 8
+  EXPECT_EQ(call(*ch, Opcode::MemcpyD2D, d2d.take()), Status::ErrorSwapSizeMismatch);
+
+  // The daemon survived, and the connection still serves.
+  WireWriter w;
+  w.put<u64>(64);
+  EXPECT_EQ(call(*ch, Opcode::Malloc, w.take()), Status::Ok);
+}
+
 TEST_F(ProtocolTest, UnknownArgumentKindsGetProtocolErrors) {
   // KernelArg kinds are 0-4 on the wire; any other byte is refused before
   // it becomes an enum value (in a migrated context's pending launch too),

@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <numeric>
 #include <vector>
 
@@ -277,6 +282,123 @@ TEST_F(SimGpuTest, DeviceToDeviceCopy) {
   std::vector<std::byte> dst(256);
   ASSERT_EQ(gpu_.peek(dst, b.value(), 256), Status::Ok);
   EXPECT_EQ(src, dst);
+}
+
+TEST_F(SimGpuTest, ReusedDeviceMemoryReadsAsZeroOnEveryPath) {
+  // The device keeps its memory mapped across frees and zeroes only what a
+  // read reaches before any write. Each read path gets its own reuse of
+  // the freed address, so no path sees another path's zeroing.
+  constexpr u64 kSize = 4096;
+  constexpr u64 kWritten = 1024;  // [kWritten, 2 * kWritten) is written
+  std::vector<std::byte> expected(kSize);
+  std::fill_n(expected.begin() + kWritten, kWritten, std::byte{0x5c});
+  const LaunchConfig config{{1, 1, 1}, {1, 1, 1}};
+
+  auto d2d_target = gpu_.malloc(kSize);  // below the reused address
+  ASSERT_TRUE(d2d_target.has_value());
+  SimGpu peer(GpuId{2}, test_gpu(1 << 20), SimParams{1}, dom_);
+  auto peer_target = peer.malloc(kSize);
+  ASSERT_TRUE(peer_target.has_value());
+
+  using Read = std::function<std::vector<std::byte>(DevicePtr)>;
+  const auto through_kernel = [&](DevicePtr ptr, std::vector<KernelArg> args,
+                                  bool nested) {
+    std::vector<std::byte> seen;
+    KernelDef def;
+    def.name = "capture";
+    def.body = [&seen, ptr, nested](KernelExecContext& ctx) {
+      const std::span<std::byte> bytes = nested ? ctx.deref(ptr) : ctx.bytes(0);
+      seen.assign(bytes.begin(), bytes.end());
+      return Status::Ok;
+    };
+    EXPECT_EQ(gpu_.launch(def, config, args), Status::Ok);
+    return seen;
+  };
+  const std::vector<std::pair<const char*, Read>> reads = {
+      {"copy_from_device",
+       [&](DevicePtr ptr) {
+         std::vector<std::byte> out(kSize);
+         EXPECT_EQ(gpu_.copy_from_device(out, ptr, kSize), Status::Ok);
+         return out;
+       }},
+      {"copy_from_device_async",
+       [&](DevicePtr ptr) {
+         std::vector<std::byte> out(kSize);
+         EXPECT_TRUE(gpu_.copy_from_device_async(out, ptr, kSize).has_value());
+         return out;
+       }},
+      {"peek",
+       [&](DevicePtr ptr) {
+         std::vector<std::byte> out(kSize);
+         EXPECT_EQ(gpu_.peek(out, ptr, kSize), Status::Ok);
+         return out;
+       }},
+      {"copy_device_to_device source",
+       [&](DevicePtr ptr) {
+         std::vector<std::byte> out(kSize);
+         EXPECT_EQ(gpu_.copy_device_to_device(d2d_target.value(), ptr, kSize), Status::Ok);
+         EXPECT_EQ(gpu_.peek(out, d2d_target.value(), kSize), Status::Ok);
+         return out;
+       }},
+      {"copy_from_peer source",
+       [&](DevicePtr ptr) {
+         std::vector<std::byte> out(kSize);
+         EXPECT_EQ(peer.copy_from_peer(peer_target.value(), gpu_, ptr, kSize), Status::Ok);
+         EXPECT_EQ(peer.peek(out, peer_target.value(), kSize), Status::Ok);
+         return out;
+       }},
+      {"kernel argument",
+       [&](DevicePtr ptr) { return through_kernel(ptr, {KernelArg::dev(ptr)}, false); }},
+      {"nested resolver",
+       [&](DevicePtr ptr) {
+         return through_kernel(ptr, {KernelArg::i64v(static_cast<i64>(ptr))}, true);
+       }},
+  };
+  for (const auto& [name, read] : reads) {
+    SCOPED_TRACE(name);
+    auto first = gpu_.malloc(kSize);
+    ASSERT_TRUE(first.has_value());
+    ASSERT_EQ(gpu_.copy_to_device(first.value(), std::vector<std::byte>(kSize, std::byte{0xab})),
+              Status::Ok);
+    ASSERT_EQ(gpu_.free(first.value()), Status::Ok);
+    auto reused = gpu_.malloc(kSize);
+    ASSERT_TRUE(reused.has_value());
+    ASSERT_EQ(reused.value(), first.value());  // first fit: the freed address
+    ASSERT_EQ(gpu_.copy_to_device(reused.value() + kWritten,
+                                  std::span(expected).subspan(kWritten, kWritten)),
+              Status::Ok);
+    EXPECT_EQ(read(reused.value()), expected);
+    ASSERT_EQ(gpu_.free(reused.value()), Status::Ok);
+  }
+}
+
+TEST_F(SimGpuTest, FreedDeviceMemoryIsPoisonedUnderAsan) {
+#if !defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "built without AddressSanitizer";
+#else
+  // Freed device bytes stay mapped, so only the sanitizer's poison stops a
+  // kernel or copy that uses a stale pointer.
+  std::byte* bytes = nullptr;
+  KernelDef def;
+  def.name = "capture";
+  def.body = [&bytes](KernelExecContext& ctx) {
+    bytes = ctx.bytes(0).data();
+    return Status::Ok;
+  };
+  auto ptr = gpu_.malloc(4096);
+  ASSERT_TRUE(ptr.has_value());
+  ASSERT_EQ(gpu_.launch(def, {{1, 1, 1}, {1, 1, 1}}, {KernelArg::dev(ptr.value())}), Status::Ok);
+  ASSERT_NE(bytes, nullptr);
+  EXPECT_FALSE(__asan_address_is_poisoned(bytes));
+  ASSERT_EQ(gpu_.free(ptr.value()), Status::Ok);
+  EXPECT_TRUE(__asan_address_is_poisoned(bytes));
+  EXPECT_TRUE(__asan_address_is_poisoned(bytes + 4095));
+  auto again = gpu_.malloc(4096);
+  ASSERT_TRUE(again.has_value());
+  ASSERT_EQ(again.value(), ptr.value());
+  EXPECT_FALSE(__asan_address_is_poisoned(bytes));
+  EXPECT_FALSE(__asan_address_is_poisoned(bytes + 4095));
+#endif
 }
 
 // ---- SimMachine ------------------------------------------------------------
