@@ -41,6 +41,7 @@ struct LaunchConfig {
   u64 shared_mem_bytes = 0;
 
   u64 total_threads() const { return grid.total() * block.total(); }
+  friend bool operator==(const LaunchConfig&, const LaunchConfig&) = default;
 };
 
 /// One marshaled kernel argument: a device pointer, a 64-bit scalar, or an
@@ -108,6 +109,8 @@ struct KernelArg {
   bool hint_written() const { return (bits >> 56 & 1) != 0; }
   u64 hint_offset() const { return bits >> 28 & 0xfffffff; }
   u64 hint_length() const { return bits & 0xfffffff; }
+
+  friend bool operator==(const KernelArg&, const KernelArg&) = default;
 };
 
 /// Resolved view a body receives: device-pointer args become writable byte
@@ -164,8 +167,10 @@ using KernelBody = std::function<Status(KernelExecContext&)>;
 using KernelCostFn =
     std::function<KernelCost(const LaunchConfig&, const std::vector<KernelArg>&)>;
 
-/// Definition of a kernel implementation, keyed by symbol name.
-struct KernelDef {
+/// Definition of a kernel implementation, keyed by symbol name. Shared
+/// ownership, as the registry holds it, gives a def the identity SimGpu's
+/// launch reuse keys on (`weak_from_this`).
+struct KernelDef : std::enable_shared_from_this<KernelDef> {
   std::string name;
   KernelBody body;
   KernelCostFn cost;
@@ -176,6 +181,15 @@ struct KernelDef {
   /// malloc). The paper excludes such applications from sharing and
   /// dynamic scheduling; the runtime pins them.
   bool uses_device_malloc = false;
+  /// Running the kernel twice on the same arguments leaves device memory as
+  /// running it once does. SimGpu::launch then skips the body of a relaunch
+  /// that repeats the last successful run over the same allocations while
+  /// none of their bytes has been written since: the body would store the
+  /// bytes already there. Only a def owned by a shared_ptr (the registry's
+  /// are) is reused. KernelBodies.IdempotentKernelsArePureFunctionsOfTheirInputs
+  /// holds every registered kernel that sets it to a stronger property: its
+  /// outputs are a function of its inputs alone.
+  bool idempotent = false;
 };
 
 /// Process-wide registry of kernel implementations, analogous to the pool

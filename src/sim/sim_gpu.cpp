@@ -64,7 +64,7 @@ void SimGpu::Block::zero_unwritten(u64 offset, u64 n) {
     const u64 end = std::min(r.end, offset + n);
     if (begin < end) std::memset(data + begin, 0, end - begin);
   }
-  wrote(offset, n);
+  unwritten.erase(offset, offset + n);  // now zero, as it read before: no new generation
 }
 
 Status SimGpu::check_healthy_and_count() {
@@ -174,7 +174,7 @@ Status SimGpu::write_locked(DevicePtr dst, std::span<const std::byte> src) {
   if (block == nullptr) return Status::ErrorInvalidDevicePointer;
   if (src.size() > block->size - offset) return Status::ErrorInvalidValue;
   std::memcpy(block->data + offset, src.data(), src.size());
-  block->wrote(offset, src.size());
+  block->wrote(offset, src.size(), ++writes_);
   return Status::Ok;
 }
 
@@ -199,7 +199,7 @@ Status SimGpu::copy_locked(DevicePtr dst, SimGpu& from, DevicePtr src, u64 size)
   }
   sblock->zero_unwritten(src_off, size);
   std::memmove(dblock->data + dst_off, sblock->data + src_off, size);
-  dblock->wrote(dst_off, size);
+  dblock->wrote(dst_off, size, ++writes_);
   return Status::Ok;
 }
 
@@ -333,10 +333,18 @@ Status SimGpu::launch(const KernelDef& def, const LaunchConfig& config,
     return Status::ErrorInvalidConfiguration;
   }
 
-  // Resolve device-pointer arguments to backing spans.
+  // Resolve device-pointer arguments to backing spans, and decide whether
+  // the body runs. A body run may write every allocation it is handed, so
+  // each moves to a new write number before the body starts; a launch that
+  // repeats the last run over allocations still at the numbers that run
+  // left keeps its result instead.
+  const bool run_body = def.body && params_.execute_kernel_bodies;
   std::vector<std::span<std::byte>> buffers(args.size());
+  std::vector<u64> generations;  // each pointer argument's
+  bool reused = false;
   {
     std::scoped_lock lock(mem_mu_);
+    std::vector<Block*> blocks;
     for (size_t i = 0; i < args.size(); ++i) {
       if (!args[i].is_dev_ptr()) continue;
       u64 offset = 0;
@@ -345,28 +353,49 @@ Status SimGpu::launch(const KernelDef& def, const LaunchConfig& config,
       // The body may read anything from the pointer to the allocation's end.
       block->zero_unwritten(offset, block->size - offset);
       buffers[i] = std::span<std::byte>(block->data + offset, block->size - offset);
+      blocks.push_back(block);
+      generations.push_back(block->generation);
     }
     ++stats_.kernels_launched;
+    // Only an idempotent kernel's runs are recorded (record_run_locked).
+    reused = run_body && !blocks.empty() && blocks.front()->last_run &&
+             blocks.front()->last_run->matches(def, config, args, generations);
+    if (reused) {
+      ++stats_.reused_kernels;
+    } else if (run_body) {
+      // Two arguments in one allocation: the later number overwrites the
+      // earlier one's, so record_run_locked refuses the run.
+      for (size_t k = 0; k < blocks.size(); ++k) blocks[k]->generation = generations[k] = ++writes_;
+    }
   }
 
-  // Execute the real math. Contexts never share allocations (isolation is
-  // what the runtime under test provides), so disjoint blocks make this
-  // safe to run outside mem_mu_ while other contexts allocate.
-  KernelExecContext::Resolver resolver = [this](DevicePtr ptr) -> std::span<std::byte> {
+  if (run_body && !reused) {
+    // Execute the real math. Contexts never share allocations (isolation is
+    // what the runtime under test provides), so disjoint blocks make this
+    // safe to run outside mem_mu_ while other contexts allocate. What the
+    // body reaches through a nested pointer is outside the run's record: it
+    // moves to a new write number, and the run is not kept.
+    bool dereferenced = false;
+    KernelExecContext::Resolver resolver = [this, &dereferenced](DevicePtr ptr) {
+      std::scoped_lock lock(mem_mu_);
+      dereferenced = true;
+      u64 offset = 0;
+      Block* block = locate_locked(ptr, &offset);
+      if (block == nullptr) return std::span<std::byte>{};
+      block->zero_unwritten(offset, block->size - offset);
+      block->generation = ++writes_;
+      return std::span<std::byte>(block->data + offset, block->size - offset);
+    };
+    KernelExecContext ctx(config, args, std::move(buffers), std::move(resolver));
+    const Status body_status = def.body(ctx);
     std::scoped_lock lock(mem_mu_);
-    u64 offset = 0;
-    Block* block = locate_locked(ptr, &offset);
-    if (block == nullptr) return {};
-    block->zero_unwritten(offset, block->size - offset);
-    return std::span<std::byte>(block->data + offset, block->size - offset);
-  };
-  KernelExecContext ctx(config, args, std::move(buffers), std::move(resolver));
-  const Status body_status =
-      (def.body && params_.execute_kernel_bodies) ? def.body(ctx) : Status::Ok;
-  if (!ok(body_status)) {
-    std::scoped_lock lock(mem_mu_);
-    ++stats_.failed_ops;
-    return body_status;
+    if (!ok(body_status)) {
+      ++stats_.failed_ops;
+      return body_status;
+    }
+    if (def.idempotent && !dereferenced) {
+      record_run_locked(def, config, args, std::move(generations));
+    }
   }
 
   const KernelCost cost = def.cost ? def.cost(config, args) : KernelCost{};
@@ -384,6 +413,24 @@ Status SimGpu::launch(const KernelDef& def, const LaunchConfig& config,
   }
   if (!healthy()) return Status::ErrorDeviceUnavailable;  // failed mid-kernel
   return Status::Ok;
+}
+
+void SimGpu::record_run_locked(const KernelDef& def, const LaunchConfig& config,
+                               const std::vector<KernelArg>& args,
+                               std::vector<u64> generations) {
+  Block* first = nullptr;
+  size_t k = 0;
+  for (const KernelArg& arg : args) {
+    if (!arg.is_dev_ptr()) continue;
+    u64 offset = 0;
+    Block* block = locate_locked(arg.as_ptr(), &offset);
+    if (block == nullptr || block->generation != generations[k++]) return;
+    if (first == nullptr) first = block;
+  }
+  std::weak_ptr<const KernelDef> owner = def.weak_from_this();
+  if (first == nullptr || owner.expired()) return;
+  first->last_run = std::make_unique<KernelRun>(
+      KernelRun{std::move(owner), config, args, std::move(generations)});
 }
 
 u64 SimGpu::free_bytes() const {

@@ -21,6 +21,7 @@
 #include <atomic>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -41,6 +42,7 @@ struct GpuStats {
   u64 mallocs = 0;
   u64 frees = 0;
   u64 kernels_launched = 0;
+  u64 reused_kernels = 0;        ///< launches that kept the last run's result (no body run)
   u64 consolidated_kernels = 0;  ///< launches that co-ran with another kernel
   u64 bytes_to_device = 0;
   u64 bytes_from_device = 0;
@@ -60,6 +62,7 @@ inline constexpr auto kGpuStatsFields = std::to_array<StatField<GpuStats>>({
     {"mallocs", &GpuStats::mallocs},
     {"frees", &GpuStats::frees},
     {"kernels_launched", &GpuStats::kernels_launched},
+    {"reused_kernels", &GpuStats::reused_kernels},
     {"consolidated_kernels", &GpuStats::consolidated_kernels},
     {"bytes_to_device", &GpuStats::bytes_to_device},
     {"bytes_from_device", &GpuStats::bytes_from_device},
@@ -121,7 +124,10 @@ class SimGpu {
   // ---- Execution ----------------------------------------------------------
   /// Runs a kernel: resolves DevPtr args to backing spans, executes the
   /// body, and occupies the compute engine for the modeled duration (FCFS
-  /// across callers). Blocks the caller until virtual completion.
+  /// across callers). Blocks the caller until virtual completion. The body
+  /// of an idempotent kernel is skipped when the launch repeats the last
+  /// successful run over the same allocations and no byte of them has been
+  /// written since; the launch is costed, counted and traced all the same.
   Status launch(const KernelDef& def, const LaunchConfig& config,
                 const std::vector<KernelArg>& args);
 
@@ -173,6 +179,20 @@ class SimGpu {
   void set_memory_callback(std::function<void()> cb) { on_memory_change_ = std::move(cb); }
 
  private:
+  /// The last successful run of an idempotent kernel over a set of
+  /// allocations, kept by the allocation of its first pointer argument.
+  struct KernelRun {
+    std::weak_ptr<const KernelDef> def;  ///< expires with the def: no other def matches
+    LaunchConfig config;
+    std::vector<KernelArg> args;
+    std::vector<u64> generations;  ///< each pointer argument's, as the run left it
+
+    bool matches(const KernelDef& d, const LaunchConfig& c, const std::vector<KernelArg>& a,
+                 const std::vector<u64>& g) const {
+      return def.lock().get() == &d && config == c && args == a && generations == g;
+    }
+  };
+
   /// One live allocation. Its never-written bytes read as zero: a read path
   /// zeroes them in the region first, so a reused address never shows the
   /// bytes of the allocation freed before it, and malloc zeroes nothing.
@@ -180,9 +200,16 @@ class SimGpu {
     std::byte* data = nullptr;  ///< the allocation's bytes in the region
     u64 size = 0;
     IntervalSet unwritten;      ///< offsets no write path has stored to yet
+    /// The device's write number of the last write that may have changed
+    /// these bytes; 0, which no run records, for a new allocation.
+    u64 generation = 0;
+    std::unique_ptr<KernelRun> last_run;  ///< dropped with the allocation
 
-    /// A write path stored [offset, offset + n).
-    void wrote(u64 offset, u64 n) { unwritten.erase(offset, offset + n); }
+    /// A write path stored [offset, offset + n) as the device's write `gen`.
+    void wrote(u64 offset, u64 n, u64 gen) {
+      unwritten.erase(offset, offset + n);
+      generation = gen;
+    }
     /// A read path is about to read [offset, offset + n): zeroes what of it
     /// was never written.
     void zero_unwritten(u64 offset, u64 n);
@@ -265,6 +292,12 @@ class SimGpu {
   Status read_locked(std::span<std::byte> dst, DevicePtr src, u64 size);
   Status copy_locked(DevicePtr dst, SimGpu& from, DevicePtr src, u64 size);
 
+  // Keeps a finished body run of an idempotent kernel as its first pointer
+  // argument's last run, unless some argument's allocation was freed or
+  // written (or is another argument's) after the run took `generations`.
+  void record_run_locked(const KernelDef& def, const LaunchConfig& config,
+                         const std::vector<KernelArg>& args, std::vector<u64> generations);
+
   Status check_healthy_and_count();
 
   GpuId id_;
@@ -272,9 +305,10 @@ class SimGpu {
   SimParams params_;
   vt::Domain* dom_;
 
-  mutable std::mutex mem_mu_;   // guards allocator_, blocks_, region_, stats_
+  mutable std::mutex mem_mu_;   // guards allocator_, blocks_, region_, stats_, writes_
   AddressSpaceAllocator allocator_;
   std::map<DevicePtr, Block> blocks_;
+  u64 writes_ = 0;               // last write number handed to a Block::generation
   std::byte* region_ = nullptr;  // allocator_.capacity() bytes, mapped at the first malloc
   u64 region_high_water_ = 0;    // end offset of the highest allocation made
   GpuStats stats_;

@@ -96,6 +96,7 @@ class VectorAdd final : public Workload {
       return Status::Ok;
     };
     def.cost = calibrated_cost(3.0);
+    def.idempotent = true;
     registry.add(def);
   }
 
@@ -174,6 +175,7 @@ class ScalarProduct final : public Workload {
       return Status::Ok;
     };
     def.cost = calibrated_cost(3.2);
+    def.idempotent = true;
     registry.add(def);
   }
 
@@ -250,6 +252,7 @@ class MatrixTranspose final : public Workload {
       return Status::Ok;
     };
     def.cost = calibrated_cost(3.6 / 816);
+    def.idempotent = true;
     registry.add(def);
   }
 
@@ -317,6 +320,7 @@ class ParallelReduction final : public Workload {
       return Status::Ok;
     };
     def.cost = calibrated_cost(4.2 / 801);
+    def.idempotent = true;
     registry.add(def);
   }
 
@@ -384,6 +388,7 @@ class Scan final : public Workload {
       return Status::Ok;
     };
     def.cost = calibrated_cost(4.8 / 3300);
+    def.idempotent = true;
     registry.add(def);
   }
 
@@ -486,6 +491,7 @@ class BlackScholes final : public Workload {
                                              : static_cast<double>(config.total_threads());
       return sim::KernelCost{options * 1280.0, 0.0};
     };
+    def.idempotent = true;
     registry.add(def);
   }
 
@@ -589,6 +595,7 @@ class BackPropagation final : public Workload {
       return Status::Ok;
     };
     forward.cost = calibrated_cost(4.0 / 40);
+    forward.idempotent = true;
     registry.add(forward);
 
     sim::KernelDef adjust;
@@ -805,6 +812,7 @@ class HotSpot final : public Workload {
       return Status::Ok;
     };
     def.cost = calibrated_cost(3.0);
+    def.idempotent = true;
     registry.add(def);
   }
 
@@ -1022,6 +1030,7 @@ class MatMul final : public Workload {
           args.size() > 5 ? static_cast<double>(args[5].as_i64()) : kC2050Flops;
       return sim::KernelCost{2.0 * n * n * n * (kC2050Flops / sustained), 0.0};
     };
+    def.idempotent = true;
     registry.add(def);
   }
 

@@ -328,6 +328,7 @@ class Srad final : public Workload {
       return Status::Ok;
     };
     def.cost = fixed_cost(3.2 / 100);
+    def.idempotent = true;
     registry.add(def);
   }
 

@@ -12,6 +12,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -340,6 +342,128 @@ TEST_F(KernelBodies, SizeProductsThatWrapAreRefused) {
   std::vector<i32> edges = {1, 2, 1000, 0, 0, 0};
   std::vector<i32> levels = {0, -1};
   refused("bfs_step", Args{}.buf(edges).buf(levels).i64v(2).i64v(0));
+}
+
+/// One argument of a property launch: an input buffer seeded from its
+/// app's range, an output buffer sized to what the body writes, or a scalar.
+struct PropArg {
+  enum class Kind { In, Out, Int, Real } kind = Kind::Int;
+  u64 floats = 0;
+  float lo = 0.0f;
+  float hi = 0.0f;
+  i64 integer = 0;
+  double real = 0.0;
+
+  bool is_buffer() const { return kind == Kind::In || kind == Kind::Out; }
+};
+PropArg in(u64 floats, float lo, float hi) { return {PropArg::Kind::In, floats, lo, hi}; }
+PropArg out(u64 floats) { return {PropArg::Kind::Out, floats}; }
+PropArg int_arg(i64 v) { return {.kind = PropArg::Kind::Int, .integer = v}; }
+PropArg real_arg(double v) { return {.kind = PropArg::Kind::Real, .real = v}; }
+
+/// A launch of each kernel the registries may mark idempotent, shaped as
+/// its app launches it.
+const std::map<std::string, std::vector<PropArg>>& idempotent_launches() {
+  static const std::map<std::string, std::vector<PropArg>> launches = {
+      {"va_add", {in(1000, -1, 1), in(1000, -1, 1), out(1000), int_arg(1000)}},
+      {"sp_dot", {in(8 * 64, -1, 1), in(8 * 64, -1, 1), out(8), int_arg(8), int_arg(64)}},
+      {"mt_transpose", {in(24 * 24, 0, 10), out(24 * 24), int_arg(24)}},
+      {"pr_reduce", {in(4000, 0, 1), out(1), int_arg(4000)}},
+      {"sc_scan", {in(4000, 0, 1), out(4000), int_arg(4000)}},
+      {"bs_price",
+       {in(3000, 5, 30), in(3000, 1, 100), in(3000, 0.25f, 10), out(3000), out(3000),
+        int_arg(3000), int_arg(40'000'000)}},
+      {"bp_layerforward", {in(512, 0, 1), in(512 * 16, -0.5f, 0.5f), out(16), int_arg(512)}},
+      {"hs_step", {in(32 * 32, 40, 80), in(32 * 32, 0, 5), out(32 * 32), int_arg(32)}},
+      {"mm_matmul",
+       {in(48 * 48, -1, 1), in(48 * 48, -1, 1), out(48 * 48), int_arg(48), int_arg(10'000),
+        int_arg(800'000'000'000)}},
+      {"srad_step", {in(32 * 32, 0, 1), out(32 * 32), int_arg(32), real_arg(0.05)}},
+  };
+  return launches;
+}
+
+/// Every buffer of one property launch, in argument order.
+using Buffers = std::vector<std::vector<float>>;
+
+TEST_F(KernelBodies, IdempotentKernelsArePureFunctionsOfTheirInputs) {
+  // SimGpu skips the body of an idempotent kernel relaunched over unchanged
+  // allocations, so a wrong declaration would hand a tenant stale bytes.
+  // Each declared kernel must write the same bytes over zeroed and over
+  // garbage outputs, leave its inputs as they were, and change nothing when
+  // run a second time.
+  std::set<std::string> kernels;
+  for (const std::string& app : all_workload_names()) {
+    for (const std::string& k : find_workload(app)->kernels()) kernels.insert(k);
+  }
+  for (const std::string& app : extended_workload_names()) {
+    for (const std::string& k : find_extended_workload(app)->kernels()) kernels.insert(k);
+  }
+  ASSERT_EQ(kernels.size(), registry_.size()) << "a registered kernel no app names";
+
+  int declared = 0;
+  for (const std::string& kernel : kernels) {
+    if (!registry_.find(kernel)->idempotent) continue;
+    SCOPED_TRACE(kernel);
+    ++declared;
+    const auto recipe = idempotent_launches().find(kernel);
+    ASSERT_NE(recipe, idempotent_launches().end()) << "declared idempotent with no launch here";
+    const std::vector<PropArg>& shape = recipe->second;
+
+    Rng rng(41);
+    Buffers seeded;
+    for (const PropArg& arg : shape) {
+      if (!arg.is_buffer()) continue;
+      std::vector<float> buf(arg.floats);
+      if (arg.kind == PropArg::Kind::In) {
+        for (float& v : buf) v = arg.lo + static_cast<float>(rng.uniform()) * (arg.hi - arg.lo);
+      }
+      seeded.push_back(std::move(buf));
+    }
+    const auto launch = [&](Buffers& bufs) {
+      Args a;
+      size_t b = 0;
+      for (const PropArg& arg : shape) {
+        switch (arg.kind) {
+          case PropArg::Kind::In:
+          case PropArg::Kind::Out: a.buf(bufs[b++]); break;
+          case PropArg::Kind::Int: a.i64v(arg.integer); break;
+          case PropArg::Kind::Real: a.f64v(arg.real); break;
+        }
+      }
+      return run(kernel, a);
+    };
+    const auto same_bytes = [](const std::vector<float>& x, const std::vector<float>& y) {
+      return x.size() == y.size() && std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+    };
+
+    Buffers once = seeded;  // outputs zeroed
+    ASSERT_EQ(launch(once), Status::Ok);
+    Buffers twice = once;
+    ASSERT_EQ(launch(twice), Status::Ok);
+    Buffers over_garbage = seeded;
+    size_t b = 0;
+    for (const PropArg& arg : shape) {
+      if (arg.kind == PropArg::Kind::Out) {
+        for (float& v : over_garbage[b]) v = std::bit_cast<float>(static_cast<u32>(rng()));
+      }
+      b += arg.is_buffer();
+    }
+    ASSERT_EQ(launch(over_garbage), Status::Ok);
+
+    b = 0;
+    for (const PropArg& arg : shape) {
+      if (!arg.is_buffer()) continue;
+      SCOPED_TRACE("buffer " + std::to_string(b));
+      if (arg.kind == PropArg::Kind::In) {
+        EXPECT_TRUE(same_bytes(once[b], seeded[b])) << "input";
+      }
+      EXPECT_TRUE(same_bytes(twice[b], once[b])) << "second launch";
+      EXPECT_TRUE(same_bytes(over_garbage[b], once[b])) << "over garbage";
+      ++b;
+    }
+  }
+  EXPECT_GE(declared, 3);  // bs_price, sc_scan and pr_reduce at least
 }
 
 TEST(KernelBodyDaemon, WrappingMatMulGetsAnErrorAndTheDaemonKeepsServing) {

@@ -7,9 +7,11 @@
 #include <sanitizer/asan_interface.h>
 #endif
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -399,6 +401,260 @@ TEST_F(SimGpuTest, FreedDeviceMemoryIsPoisonedUnderAsan) {
   EXPECT_FALSE(__asan_address_is_poisoned(bytes));
   EXPECT_FALSE(__asan_address_is_poisoned(bytes + 4095));
 #endif
+}
+
+// ---- Launch reuse -------------------------------------------------------------
+
+/// An idempotent dst[i] = src[i] over n floats that counts its body runs,
+/// owned by a shared_ptr as the registry's defs are.
+std::shared_ptr<KernelDef> counting_copy(int* runs) {
+  auto def = std::make_shared<KernelDef>();
+  def->name = "copy_into";
+  def->idempotent = true;
+  def->body = [runs](KernelExecContext& ctx) {
+    ++*runs;
+    auto src = ctx.buffer<float>(0);
+    auto dst = ctx.buffer<float>(1);
+    const u64 n = static_cast<u64>(ctx.scalar_i64(2));
+    if (src.size() < n || dst.size() < n) return Status::ErrorLaunchFailure;
+    std::copy_n(src.begin(), n, dst.begin());
+    return Status::Ok;
+  };
+  def->cost = per_thread_cost(1e5, 0.0);
+  return def;
+}
+
+class LaunchReuseTest : public SimGpuTest {
+ protected:
+  static constexpr u64 kN = 256;
+  static constexpr u64 kBytes = kN * sizeof(float);
+
+  LaunchReuseTest() {
+    src_ = gpu_.malloc(kBytes).value();
+    dst_ = gpu_.malloc(kBytes).value();
+    EXPECT_EQ(gpu_.copy_to_device(src_, as_bytes(fresh_values())), Status::Ok);
+  }
+
+  /// Values no buffer holds yet.
+  std::vector<float> fresh_values() {
+    std::vector<float> v(kN);
+    std::iota(v.begin(), v.end(), static_cast<float>(++fills_) * 1000.0f);
+    return v;
+  }
+
+  Status launch(const KernelDef& def, i64 n = kN, LaunchConfig config = kConfig) {
+    return gpu_.launch(def, config,
+                       {KernelArg::dev(src_), KernelArg::dev_out(dst_), KernelArg::i64v(n)});
+  }
+  Status launch() { return launch(*copy_); }
+
+  std::vector<float> read(DevicePtr ptr) {
+    std::vector<float> out(kN);
+    EXPECT_EQ(gpu_.peek(as_writable_bytes(out), ptr, kBytes), Status::Ok);
+    return out;
+  }
+
+  static constexpr LaunchConfig kConfig{{1, 1, 1}, {kN, 1, 1}};
+  int runs_ = 0;
+  int fills_ = 0;
+  std::shared_ptr<KernelDef> copy_ = counting_copy(&runs_);
+  DevicePtr src_ = kNullDevicePtr;
+  DevicePtr dst_ = kNullDevicePtr;
+};
+
+TEST_F(LaunchReuseTest, UnchangedRelaunchesRunTheBodyOnceAndKeepTheirModeledTime) {
+  constexpr int kLaunches = 8;
+  const vt::Duration each = kernel_time(
+      gpu_.spec(), copy_->cost(kConfig, {KernelArg::dev(src_), KernelArg::dev_out(dst_),
+                                         KernelArg::i64v(static_cast<i64>(kN))}));
+  ASSERT_GT(each, vt::Duration::zero());
+  const GpuStats before = gpu_.stats();
+  for (int i = 0; i < kLaunches; ++i) {
+    const vt::TimePoint start = dom_.now();
+    ASSERT_EQ(launch(), Status::Ok);
+    EXPECT_EQ(dom_.now() - start, each) << "launch " << i;
+  }
+  EXPECT_EQ(runs_, 1);
+  const GpuStats after = gpu_.stats();
+  EXPECT_EQ(after.kernels_launched - before.kernels_launched, u64{kLaunches});
+  EXPECT_EQ(after.reused_kernels - before.reused_kernels, u64{kLaunches - 1});
+  EXPECT_DOUBLE_EQ(after.compute_busy_seconds - before.compute_busy_seconds,
+                   kLaunches * vt::to_seconds(each));
+  EXPECT_EQ(read(dst_), read(src_));
+}
+
+TEST_F(LaunchReuseTest, EveryChangeToTheRunRunsTheBodyAgain) {
+  SimGpu peer(GpuId{2}, test_gpu(1 << 20), SimParams{1}, dom_);
+  const DevicePtr peer_buf = peer.malloc(kBytes).value();
+  const DevicePtr third = gpu_.malloc(kBytes).value();
+  int other_runs = 0;
+  const std::shared_ptr<KernelDef> other_copy = counting_copy(&other_runs);
+  KernelDef scale2;  // not idempotent
+  scale2.name = "scale2";
+  scale2.body = [](KernelExecContext& ctx) {
+    for (float& v : ctx.buffer<float>(0)) v *= 2.0f;
+    return Status::Ok;
+  };
+  KernelDef nested_fill;  // writes what its scalar points to
+  nested_fill.name = "nested_fill";
+  nested_fill.body = [](KernelExecContext& ctx) {
+    for (float& v : ctx.deref_as<float>(static_cast<DevicePtr>(ctx.scalar_i64(0)))) v = 7.0f;
+    return Status::Ok;
+  };
+  const LaunchConfig one{{1, 1, 1}, {1, 1, 1}};
+
+  const std::vector<std::pair<const char*, std::function<void()>>> changes = {
+      {"copy_to_device into the input",
+       [&] { ASSERT_EQ(gpu_.copy_to_device(src_, as_bytes(fresh_values())), Status::Ok); }},
+      {"copy_to_device into the output",
+       [&] { ASSERT_EQ(gpu_.copy_to_device(dst_, as_bytes(fresh_values())), Status::Ok); }},
+      {"copy_to_device_async into the input",
+       [&] {
+         const std::vector<float> values = fresh_values();
+         ASSERT_TRUE(gpu_.copy_to_device_async(src_, as_bytes(values)).has_value());
+       }},
+      {"poke into the output",
+       [&] { ASSERT_EQ(gpu_.poke(dst_, as_bytes(fresh_values())), Status::Ok); }},
+      {"copy_device_to_device into the input",
+       [&] {
+         ASSERT_EQ(gpu_.poke(third, as_bytes(fresh_values())), Status::Ok);
+         ASSERT_EQ(gpu_.copy_device_to_device(src_, third, kBytes), Status::Ok);
+       }},
+      {"copy_from_peer into the output",
+       [&] {
+         ASSERT_EQ(peer.poke(peer_buf, as_bytes(fresh_values())), Status::Ok);
+         ASSERT_EQ(gpu_.copy_from_peer(dst_, peer, peer_buf, kBytes), Status::Ok);
+       }},
+      {"free and malloc of the input at its address",
+       [&] {
+         ASSERT_EQ(gpu_.free(src_), Status::Ok);
+         ASSERT_EQ(gpu_.malloc(kBytes).value(), src_);  // reads as zeroes
+       }},
+      {"free and malloc of the output at its address",
+       [&] {
+         ASSERT_EQ(gpu_.free(dst_), Status::Ok);
+         ASSERT_EQ(gpu_.malloc(kBytes).value(), dst_);
+       }},
+      {"a non-idempotent kernel writing the output",
+       [&] { ASSERT_EQ(gpu_.launch(scale2, one, {KernelArg::dev_out(dst_)}), Status::Ok); }},
+      {"a kernel writing the output through a nested pointer",
+       [&] {
+         ASSERT_EQ(gpu_.launch(nested_fill, one, {KernelArg::i64v(static_cast<i64>(dst_))}),
+                   Status::Ok);
+       }},
+      {"an idempotent run of another def over the same arguments",
+       [&] { ASSERT_EQ(launch(*other_copy), Status::Ok); }},
+      {"a launch with another scalar", [&] { ASSERT_EQ(launch(*copy_, kN / 2), Status::Ok); }},
+      {"a launch with another grid",
+       [&] { ASSERT_EQ(launch(*copy_, kN, {{2, 1, 1}, {kN, 1, 1}}), Status::Ok); }},
+  };
+  for (const auto& [name, change] : changes) {
+    SCOPED_TRACE(name);
+    ASSERT_EQ(launch(), Status::Ok);
+    ASSERT_EQ(launch(), Status::Ok);  // reused: nothing changed
+    change();
+    const int runs = runs_;  // the scalar and grid changes ran the body themselves
+    ASSERT_EQ(launch(), Status::Ok);
+    EXPECT_EQ(runs_, runs + 1);
+    EXPECT_EQ(read(dst_), read(src_));
+    ASSERT_EQ(launch(), Status::Ok);
+    EXPECT_EQ(runs_, runs + 1) << "the new run is not reused";
+  }
+}
+
+TEST_F(LaunchReuseTest, SameNameReRegistrationRunsTheNewBody) {
+  KernelRegistry registry;
+  registry.add(*copy_);
+  ASSERT_EQ(launch(*registry.find("copy_into")), Status::Ok);
+  ASSERT_EQ(launch(*registry.find("copy_into")), Status::Ok);
+  EXPECT_EQ(runs_, 1);
+  KernelDef doubled = *copy_;  // same name, a new body
+  doubled.body = [](KernelExecContext& ctx) {
+    auto src = ctx.buffer<float>(0);
+    auto dst = ctx.buffer<float>(1);
+    for (u64 i = 0; i < static_cast<u64>(ctx.scalar_i64(2)); ++i) dst[i] = 2.0f * src[i];
+    return Status::Ok;
+  };
+  registry.add(doubled);
+  ASSERT_EQ(launch(*registry.find("copy_into")), Status::Ok);
+  std::vector<float> want = read(src_);
+  for (float& v : want) v *= 2.0f;
+  EXPECT_EQ(read(dst_), want);
+}
+
+TEST_F(LaunchReuseTest, RunsThatCannotBeKeptAreNeverReused) {
+  constexpr int kLaunches = 3;
+  const auto runs_over = [&](const KernelDef& def, const std::vector<KernelArg>& args,
+                             Status want) {
+    const int before = runs_;
+    for (int i = 0; i < kLaunches; ++i) EXPECT_EQ(gpu_.launch(def, kConfig, args), want);
+    return runs_ - before;
+  };
+  const std::vector<KernelArg> normal = {KernelArg::dev(src_), KernelArg::dev_out(dst_),
+                                         KernelArg::i64v(static_cast<i64>(kN))};
+
+  // Two arguments in one allocation: the body's writes reach its input.
+  EXPECT_EQ(runs_over(*copy_,
+                      {KernelArg::dev(src_), KernelArg::dev_out(src_ + kBytes / 2),
+                       KernelArg::i64v(static_cast<i64>(kN / 2))},
+                      Status::Ok),
+            kLaunches);
+
+  // A failed body, which wrote its output first.
+  auto failing = std::make_shared<KernelDef>(*copy_);
+  failing->body = [this](KernelExecContext& ctx) {
+    ++runs_;
+    std::fill_n(ctx.buffer<float>(1).begin(), kN, -1.0f);
+    return Status::ErrorLaunchFailure;
+  };
+  ASSERT_EQ(launch(), Status::Ok);
+  EXPECT_EQ(runs_over(*failing, normal, Status::ErrorLaunchFailure), kLaunches);
+  EXPECT_EQ(runs_over(*copy_, normal, Status::Ok), 1) << "the failed run's writes are undone";
+  EXPECT_EQ(read(dst_), read(src_));
+
+  // A body that read an allocation outside its arguments through a nested
+  // pointer: a later write there would go unseen.
+  const DevicePtr table = gpu_.malloc(kBytes).value();
+  auto nested = std::make_shared<KernelDef>(*copy_);
+  nested->body = [this](KernelExecContext& ctx) {
+    ++runs_;
+    const auto from = ctx.deref_as<float>(static_cast<DevicePtr>(ctx.scalar_i64(3)));
+    std::copy_n(from.begin(), kN, ctx.buffer<float>(1).begin());
+    return Status::Ok;
+  };
+  std::vector<KernelArg> through_table = normal;
+  through_table.push_back(KernelArg::i64v(static_cast<i64>(table)));
+  EXPECT_EQ(runs_over(*nested, through_table, Status::Ok), kLaunches);
+
+  // A kernel not declared idempotent, or a def no shared_ptr owns (it has
+  // no identity to key on).
+  auto plain = std::make_shared<KernelDef>(*copy_);
+  plain->idempotent = false;
+  EXPECT_EQ(runs_over(*plain, normal, Status::Ok), kLaunches);
+  KernelDef unowned = *copy_;
+  EXPECT_EQ(runs_over(unowned, normal, Status::Ok), kLaunches);
+
+  EXPECT_EQ(gpu_.stats().failed_ops, u64{kLaunches});
+}
+
+TEST(LaunchReuse, SkippedBodiesAreNeverCountedAsReused) {
+  vt::Domain dom;
+  vt::AttachGuard guard(dom);
+  SimParams params{1};
+  params.execute_kernel_bodies = false;
+  SimGpu gpu(GpuId{1}, test_gpu(1 << 20), params, dom);
+  int runs = 0;
+  const std::shared_ptr<KernelDef> def = counting_copy(&runs);
+  const DevicePtr src = gpu.malloc(1024).value();
+  const DevicePtr dst = gpu.malloc(1024).value();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(gpu.launch(*def, {{1, 1, 1}, {1, 1, 1}},
+                         {KernelArg::dev(src), KernelArg::dev_out(dst), KernelArg::i64v(256)}),
+              Status::Ok);
+  }
+  EXPECT_EQ(runs, 0);
+  EXPECT_EQ(gpu.stats().kernels_launched, 3u);
+  EXPECT_EQ(gpu.stats().reused_kernels, 0u);
 }
 
 // ---- SimMachine ------------------------------------------------------------
